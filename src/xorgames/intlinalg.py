@@ -4,14 +4,25 @@ Dense arbitrary-precision arithmetic only; no floating point anywhere in this
 module. Smith normal form is computed with explicit elementary row/column
 operations so the unimodular transforms come out alongside the diagonal, and
 the decomposition identity is rechecked before returning. Desk-scale sizes
-(a few hundred rows/columns) are the target; nothing here is tuned beyond
-smallest-pivot selection.
+(a few hundred rows/columns) are the target.
+
+The elimination is tuned without changing its result: the pivot is still
+the first entry of smallest absolute value in row-major order and the
+sequence of elementary operations is fixed, so U, D and V come out the same
+entry for entry. The speed comes from skipping work that cannot change
+anything: pivot scans stop at the first unit, all column operations of one
+pivot share a single pass over the rows, row operations touch only the
+nonzero entries of the pivot row, and products skip zero entries of their
+left operand (the 0/1 incidence matrices this package decomposes are
+sparse).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
 
@@ -50,18 +61,25 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        ot = other.transpose().data
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                for row in self.data
-            )
-        )
+        out = []
+        for row in self.data:
+            acc = [0] * other.cols
+            for a, orow in zip(row, other.data):
+                if a == 1:
+                    acc = list(map(operator.add, acc, orow))
+                elif a:
+                    acc = [x + a * y for x, y in zip(acc, orow)]
+            out.append(tuple(acc))
+        return IntMatrix(tuple(out))
 
     def mulvec(self, v):
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
+        # Only the nonzero entries of each row are multiplied out.
+        return tuple(
+            sum(map(operator.mul, compress(row, row), compress(v, row)))
+            for row in self.data
+        )
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
@@ -86,13 +104,28 @@ class SmithDecomposition:
 
 
 def _find_pivot(m, t, rows, cols):
+    """First entry of smallest absolute value in the lower-right block,
+    scanning row-major. A unit is returned as soon as it is seen: nothing
+    smaller can follow it."""
     best = None
+    best_abs = 0
     for i in range(t, rows):
+        row = m[i]
+        if not any(row):
+            continue
         for j in range(t, cols):
-            x = m[i][j]
-            if x != 0 and (best is None or abs(x) < abs(m[best[0]][best[1]])):
-                best = (i, j)
+            x = row[j]
+            if x:
+                ax = abs(x)
+                if ax == 1:
+                    return i, j
+                if best is None or ax < best_abs:
+                    best, best_abs = (i, j), ax
     return best
+
+
+def _nonzeros(row):
+    return [(k, x) for k, x in enumerate(row) if x]
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
@@ -101,65 +134,72 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     u = [list(row) for row in IntMatrix.identity(rows).data]
     v = [list(row) for row in IntMatrix.identity(cols).data]
 
-    def row_op(i, k, q):  # R_i -= q * R_k, mirrored in U
-        m[i] = [x - q * y for x, y in zip(m[i], m[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-
-    def col_op(j, k, q):  # C_j -= q * C_k, mirrored in V
-        for r in m:
-            r[j] -= q * r[k]
-        for r in v:
-            r[j] -= q * r[k]
-
-    def swap_rows(i, k):
-        m[i], m[k] = m[k], m[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        for r in m:
-            r[j], r[k] = r[k], r[j]
-        for r in v:
-            r[j], r[k] = r[k], r[j]
-
     for t in range(min(rows, cols)):
-        while True:
-            pivot = _find_pivot(m, t, rows, cols)
-            if pivot is None:
-                break
-            if pivot != (t, t):
-                if pivot[0] != t:
-                    swap_rows(t, pivot[0])
-                if pivot[1] != t:
-                    swap_cols(t, pivot[1])
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    row_op(i, t, q)
-                    dirty = dirty or m[i][t] != 0
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    col_op(j, t, q)
-                    dirty = dirty or m[t][j] != 0
-            if dirty:
-                continue
-            # Pivot must divide the rest of the submatrix for the chain.
-            fixup = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if m[i][j] % m[t][t] != 0:
-                        fixup = (i, j)
-                        break
-                if fixup:
-                    break
-            if fixup is None:
-                break
-            # Fold the offending row into row t, then reduce again.
-            m[t] = [x + y for x, y in zip(m[t], m[fixup[0]])]
-            u[t] = [x + y for x, y in zip(u[t], u[fixup[0]])]
-        if _find_pivot(m, t, rows, cols) is None:
+        pivot = _find_pivot(m, t, rows, cols)
+        if pivot is None:
             break
+        while True:
+            i, j = pivot
+            if i != t:
+                m[t], m[i] = m[i], m[t]
+                u[t], u[i] = u[i], u[t]
+            if j != t:
+                for r in m:
+                    r[t], r[j] = r[j], r[t]
+                for r in v:
+                    r[t], r[j] = r[j], r[t]
+            mt, ut = m[t], u[t]
+            p = mt[t]
+            dirty = False
+            # R_i -= q * R_t for every row below, mirrored in U, touching
+            # only the nonzero entries of the pivot rows.
+            mt_nz, ut_nz = _nonzeros(mt), _nonzeros(ut)
+            for i in range(t + 1, rows):
+                mi = m[i]
+                if mi[t]:
+                    q = mi[t] // p
+                    if q:
+                        for k, y in mt_nz:
+                            mi[k] -= q * y
+                        ui = u[i]
+                        for k, y in ut_nz:
+                            ui[k] -= q * y
+                    dirty = dirty or mi[t] != 0
+            # C_j -= q * C_t for every column right of the pivot, mirrored in
+            # V. These operations never change column t, so every quotient
+            # comes from the pivot row as it is now and all of them can be
+            # applied in one pass over the rows.
+            ops = []
+            for j in range(t + 1, cols):
+                if mt[j]:
+                    q, rem = divmod(mt[j], p)
+                    if q:
+                        ops.append((j, q))
+                    dirty = dirty or rem != 0
+            if ops:
+                for r in (*m, *v):
+                    x = r[t]
+                    if x:
+                        for j, q in ops:
+                            r[j] -= q * x
+            if not dirty:
+                if p == 1 or p == -1:
+                    break  # a unit divides the rest of the submatrix
+                # Pivot must divide the rest of the submatrix for the chain.
+                fixup = next(
+                    (
+                        i
+                        for i in range(t + 1, rows)
+                        if any(m[i][j] % p for j in range(t + 1, cols))
+                    ),
+                    None,
+                )
+                if fixup is None:
+                    break
+                # Fold the offending row into row t, then reduce again.
+                m[t] = [x + y for x, y in zip(m[t], m[fixup])]
+                u[t] = [x + y for x, y in zip(u[t], u[fixup])]
+            pivot = _find_pivot(m, t, rows, cols)
 
     for t in range(min(rows, cols)):
         if m[t][t] < 0:
@@ -167,14 +207,18 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             u[t] = [-x for x in u[t]]
 
     dec = SmithDecomposition(
-        u=IntMatrix.from_rows(u), d=IntMatrix.from_rows(m), v=IntMatrix.from_rows(v)
+        u=IntMatrix(tuple(map(tuple, u))),
+        d=IntMatrix(tuple(map(tuple, m))),
+        v=IntMatrix(tuple(map(tuple, v))),
     )
     _check_decomposition(a, dec)
     return dec
 
 
 def _check_decomposition(a: IntMatrix, dec: SmithDecomposition):
-    prod = dec.u.mul(a).mul(dec.v)
+    # U·(A·V) is the same exact product as (U·A)·V; taking the sparse A
+    # first keeps the intermediate cheap. Every entry is still compared.
+    prod = dec.u.mul(a.mul(dec.v))
     if prod != dec.d:
         raise AssertionError("Smith decomposition identity U*A*V == D failed")
     diag = dec.diagonal
@@ -208,12 +252,11 @@ def integer_kernel_basis(a: IntMatrix):
     """Basis of the lattice { z : a·z = 0 }, one vector per free column."""
     dec = smith_normal_form(a)
     r = dec.rank
-    basis = []
-    for j in range(r, a.cols):
-        vec = _primitive(dec.v.column(j))
-        if a.mulvec(vec) != (0,) * a.rows:
-            raise AssertionError("kernel vector fails a·v = 0")
-        basis.append(vec)
+    basis = [_primitive(dec.v.column(j)) for j in range(r, a.cols)]
+    # One product a·K with the basis vectors as the columns of K checks
+    # a·v = 0 exactly for every vector at once.
+    if basis and any(map(any, a.mul(IntMatrix(tuple(zip(*basis)))).data)):
+        raise AssertionError("kernel vector fails a·v = 0")
     return basis
 
 
@@ -272,14 +315,15 @@ def solve_mod2_over_rationals(b: IntMatrix, s) -> Mod2Outcome:
             if b.transpose().mulvec(u) != (0,) * b.cols:
                 raise AssertionError("obstruction fails u·b = 0")
             return Mod2Outcome(obstruction=u)
+    # psi_i = (U·s)_i mod 2d_i over d_i, written over the common denominator
+    # d_{r-1} (every d_i divides it), so phi = V·psi is one integer sum per
+    # entry divided by that denominator.
     diag = dec.diagonal
-    psi = [Fraction(0)] * b.cols
+    denom = diag[r - 1] if r else 1
+    psi = [0] * b.cols
     for i in range(r):
-        psi[i] = Fraction(us[i] % (2 * diag[i]), diag[i])
-    phi = [
-        sum((Fraction(vij) * pj for vij, pj in zip(vrow, psi)), Fraction(0))
-        for vrow in dec.v.data
-    ]
+        psi[i] = us[i] % (2 * diag[i]) * (denom // diag[i])
+    phi = [Fraction(sum(map(operator.mul, vrow, psi)), denom) for vrow in dec.v.data]
     phi = _zero_free_directions(phi, [dec.v.column(j) for j in range(r, b.cols)])
     phi = tuple(x % 2 for x in phi)
     for lhs, rhs in zip(b.mulvec(phi), s):

@@ -1,11 +1,17 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from xorgames import intlinalg
+from xorgames.decider import incidence_matrix
+from xorgames.games import generate_random_game
 from xorgames.intlinalg import (
     IntMatrix,
+    SmithDecomposition,
+    _check_decomposition,
     integer_kernel_basis,
     smith_normal_form,
     solve_mod2_over_rationals,
@@ -39,6 +45,121 @@ def random_matrix(rng, max_dim=12, bound=9) -> IntMatrix:
     return IntMatrix.from_rows(
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
     )
+
+
+def dense_matrix(seed) -> IntMatrix:
+    rng = random.Random(seed)
+    rows, cols = rng.randrange(6, 13), rng.randrange(6, 13)
+    return IntMatrix.from_rows(
+        [[rng.randint(-50, 50) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def incidence_transpose(*args) -> IntMatrix:
+    return incidence_matrix(generate_random_game(*args)).transpose()
+
+
+# sha256 of repr((U, D, V)) as the original elimination produced them. Every
+# witness, phase table and certificate byte derives from these transforms,
+# so a faster elimination must reproduce them bit for bit, not merely give
+# another valid decomposition.
+GOLDEN_SNF = [
+    (lambda: dense_matrix(1), "e391c4c673b9369095cd7107629c5f509b968d6fb515c0e806ea721c7887f5ce"),
+    (lambda: dense_matrix(2), "e55ccf9840b7902b99e323ec8a67ce5103ee0aabb275784ff4af1d9db6368174"),
+    (lambda: dense_matrix(3), "b75e137201a8ce89477ff60db4cdf2c4a08b5f824b37459d8f9b1bdb25c81b82"),
+    (lambda: dense_matrix(4), "0ac2135cffa31f78ecc195ac4f0fdf9a3669080636c65de00c4f4007ebfa978e"),
+    (lambda: incidence_transpose(4, 10, 40, 0), "44e84db8426ff94c8831bd43174ad8ae92184a974b22e805ab84d4b4ebb8c92e"),
+    (lambda: incidence_transpose(3, 12, 60, 1), "daac74e3435ee7c92f9eb7bee7191e6823daeec9c18fc1827b68b5b626e34269"),
+]
+
+
+@pytest.mark.parametrize("make, expected", GOLDEN_SNF)
+def test_snf_transforms_are_bit_identical(make, expected):
+    dec = smith_normal_form(make())
+    got = repr((dec.u.data, dec.d.data, dec.v.data)).encode()
+    assert hashlib.sha256(got).hexdigest() == expected
+
+
+def _bump(m: IntMatrix, i: int, j: int) -> IntMatrix:
+    rows = [list(row) for row in m.data]
+    rows[i][j] += 1
+    return IntMatrix.from_rows(rows)
+
+
+# Nonsingular, so U·A and A·V have no zero row or column: changing any one
+# entry of U, V or D must change one side of U·A·V == D.
+CHECKED = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+POSITIONS = [(i, j) for i in range(3) for j in range(3)]
+
+
+@pytest.mark.parametrize("i, j", POSITIONS)
+def test_check_rejects_a_changed_transform_entry(i, j):
+    dec = smith_normal_form(CHECKED)
+    assert dec.diagonal == (2, 6, 12)
+    for bad in (
+        SmithDecomposition(u=_bump(dec.u, i, j), d=dec.d, v=dec.v),
+        SmithDecomposition(u=dec.u, d=dec.d, v=_bump(dec.v, i, j)),
+    ):
+        with pytest.raises(AssertionError, match="U\\*A\\*V == D"):
+            _check_decomposition(CHECKED, bad)
+
+
+@pytest.mark.parametrize("i, j", [(i, j) for i, j in POSITIONS if i != j])
+def test_check_rejects_an_off_diagonal_entry_of_d(i, j):
+    dec = smith_normal_form(CHECKED)
+    bad = SmithDecomposition(u=dec.u, d=_bump(dec.d, i, j), v=dec.v)
+    with pytest.raises(AssertionError):
+        _check_decomposition(CHECKED, bad)
+
+
+def test_check_keeps_the_chain_and_sign_conditions():
+    # Both decompositions satisfy U·A·V == D exactly; only the shape of D
+    # is wrong.
+    a = IntMatrix.from_rows([[2, 0], [0, 3]])
+    ident = IntMatrix.identity(2)
+    with pytest.raises(AssertionError, match="divisibility"):
+        _check_decomposition(a, SmithDecomposition(u=ident, d=a, v=ident))
+    neg = IntMatrix.from_rows([[-1, 0], [0, 1]])
+    dec = smith_normal_form(a)
+    flipped = SmithDecomposition(u=neg.mul(dec.u), d=neg.mul(dec.d), v=dec.v)
+    with pytest.raises(AssertionError, match="negative"):
+        _check_decomposition(a, flipped)
+
+
+def test_kernel_check_rejects_any_corrupted_vector(monkeypatch):
+    # Kernel of [1 1 1 1] has three basis vectors (columns 1..3 of V); a
+    # wrong last vector must be caught as surely as a wrong first one.
+    a = IntMatrix.from_rows([[1, 1, 1, 1]])
+    good = smith_normal_form(a)
+    assert len(integer_kernel_basis(a)) == 3
+    for col in (1, 2, 3):
+        bad = SmithDecomposition(u=good.u, d=good.d, v=_bump(good.v, 0, col))
+        monkeypatch.setattr(intlinalg, "smith_normal_form", lambda m, bad=bad: bad)
+        with pytest.raises(AssertionError, match="a·v = 0"):
+            integer_kernel_basis(a)
+
+
+def _sympy_factors(a: IntMatrix):
+    # sympy is a test-only reference; without it only these two tests skip.
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    return tuple(abs(int(x)) for x in invariant_factors(sympy.Matrix(a.data)))
+
+
+def test_snf_diagonal_matches_sympy_on_random_matrices():
+    rng = random.Random(61)
+    for _ in range(150):
+        a = random_matrix(rng, max_dim=8, bound=20)
+        assert smith_normal_form(a).diagonal == _sympy_factors(a), a
+
+
+def test_snf_diagonal_matches_sympy_on_incidence_matrices():
+    for seed in range(12):
+        players = 3 + seed % 2
+        b = incidence_matrix(generate_random_game(players, 4 + seed % 5, 6 + 2 * seed, seed))
+        for a in (b, b.transpose()):
+            assert smith_normal_form(a).diagonal == _sympy_factors(a), (seed, a)
 
 
 def test_snf_zero_matrix():
