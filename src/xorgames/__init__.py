@@ -64,7 +64,6 @@ from .refutation import (
     refute,
 )
 from .words import (
-    ClauseWord,
     GroupWord,
     canon_letters,
     canon_word,

@@ -25,7 +25,7 @@ from .graphs import PairGraph, decompose_components, hypergraph_dot, pair_graph_
 from .merp import MerpStrategy
 from .oracle import SearchStatus
 from .refutation import PipelineError, refute
-from .words import GroupWord, ClauseWord, canon_letters, reduce_clause_word
+from .words import GroupWord, canon_letters, reduce_clause_word
 
 EX_USAGE = 64
 EX_DATA = 65
@@ -128,7 +128,7 @@ def cmd_decide(args) -> int:
             _certificate_header(game),
             type="refutation",
             z=list(certificate.z),
-            sigma_word=[i + 1 for i in certificate.sigma_word.indices],
+            sigma_word=[i + 1 for i in certificate.sigma_word],
             verified=True,
         )
         _dump_certificate(cert, args.out)
@@ -183,32 +183,47 @@ def _check_cert_matches(obj: dict, game: Game):
             )
 
 
+def _load_strategy(obj: dict, game: Game) -> MerpStrategy:
+    """The certificate's phase table, with one entry per (player, question)."""
+    try:
+        strategy = MerpStrategy.from_dict(obj)
+    except (KeyError, ValueError, TypeError, ArithmeticError) as e:
+        raise CliError(f"bad phase table: {e}", EX_DATA) from None
+    if strategy.players != game.players or any(
+        len(row) < game.alphabet for row in strategy.phi
+    ):
+        raise CliError("phase table shape does not match the game", EX_MISMATCH)
+    return strategy
+
+
+def _int_list(obj: dict, key: str) -> list[int]:
+    """A certificate list whose entries must be JSON integers: int() would
+    truncate a float and accept a boolean."""
+    value = obj.get(key)
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise CliError(f"bad certificate: {key!r} must be a list of integers", EX_DATA)
+    return value
+
+
 def cmd_verify(args) -> int:
     game = _load_game(args.game, args.format)
     obj = _load_certificate(args.certificate)
     _check_cert_matches(obj, game)
     kind = obj["type"]
     if kind == "merp":
-        try:
-            strategy = MerpStrategy.from_dict(obj)
-        except (KeyError, ValueError, ZeroDivisionError) as e:
-            raise CliError(f"bad phase table: {e}", EX_DATA) from None
-        if strategy.players != game.players or strategy.alphabet < game.alphabet:
-            raise CliError("phase table shape does not match the game", EX_MISMATCH)
+        strategy = _load_strategy(obj, game)
         ok = merp.verify_merp_symbolic(game, strategy)
         if ok and game.players <= 12:
             ok = abs(merp.simulate_merp_value(game, strategy).value - 1) <= 1e-9
     elif kind == "refutation":
-        try:
-            word = ClauseWord.from_indices([i - 1 for i in obj["sigma_word"]])
-            if any(i < 0 or i >= game.num_clauses for i in word.indices):
-                raise CliError("clause index out of range", EX_MISMATCH)
-            okz = check_obstruction(game, obj["z"])
-            ok = okz and reduce_clause_word(game, word) == GroupWord.sign(game.players)
-        except (KeyError, TypeError) as e:
-            raise CliError(f"bad refutation certificate: {e}", EX_DATA) from None
+        z = _int_list(obj, "z")
+        word = tuple(i - 1 for i in _int_list(obj, "sigma_word"))
+        if any(i < 0 or i >= game.num_clauses for i in word):
+            raise CliError("clause index out of range", EX_MISMATCH)
+        ok = check_obstruction(game, z)
+        ok = ok and reduce_clause_word(game, word) == GroupWord.sign(game.players)
     elif kind == "obstruction":
-        ok = check_obstruction(game, obj.get("z", ()))
+        ok = check_obstruction(game, _int_list(obj, "z"))
     else:
         raise CliError(f"unknown certificate type {kind!r}", EX_DATA)
     print("PASS" if ok else "FAIL")
@@ -221,8 +236,7 @@ def cmd_simulate(args) -> int:
     _check_cert_matches(obj, game)
     if obj["type"] != "merp":
         raise CliError("simulate needs a phase-table certificate", EX_DATA)
-    strategy = MerpStrategy.from_dict(obj)
-    result = merp.simulate_merp_value(game, strategy)
+    result = merp.simulate_merp_value(game, _load_strategy(obj, game))
     print(f"value: {result.value:.12f}")
     print(f"exact_perfect: {'yes' if result.exact_perfect else 'no'}")
     return 0

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .games import Game
 from .intlinalg import IntMatrix, integer_kernel_basis
-from .words import ClauseWord
 
 
 @dataclass(frozen=True)
@@ -59,12 +58,12 @@ class DecisionOutcome:
     obstruction_z: tuple[int, ...] | None = None
 
 
-def abelianize_clause_word(game: Game, cw: ClauseWord) -> AbelianVector:
+def abelianize_clause_word(game: Game, cw: tuple[int, ...]) -> AbelianVector:
     if len(cw) % 2 != 0:
         raise ValueError("only even clause words have an abelian image")
     vecs = [[0] * game.alphabet for _ in range(game.players)]
     sigma = 0
-    for t, (i, _) in enumerate(cw.entries, start=1):
+    for t, i in enumerate(cw, start=1):
         c = game.clauses[i]
         sign = -1 if t % 2 == 1 else 1
         for a, q in enumerate(c.questions):
@@ -120,20 +119,18 @@ def check_obstruction(game: Game, z) -> bool:
     return sum(zi * c.parity for zi, c in zip(z, game.clauses)) % 2 == 1
 
 
-def witness_clause_word(game: Game, z) -> ClauseWord:
+def witness_clause_word(game: Game, z) -> tuple[int, ...]:
     """Expand a witness vector into an explicit even clause sequence whose
     abelian image is exactly the sign element's: the product over i >= 2 of
     the pair (clause 1, clause i) repeated z_i times, reversed when z_i < 0.
     """
     if not check_obstruction(game, z):
         raise ValueError("vector violates the witness invariant")
-    entries = []
+    indices = []
     for i in range(1, game.num_clauses):
         zi = int(z[i])
-        pair = [(0, False), (i, False)] if zi > 0 else [(i, False), (0, False)]
-        for _ in range(abs(zi)):
-            entries.extend(pair)
-    word = ClauseWord(tuple(entries))
+        indices += ((0, i) if zi > 0 else (i, 0)) * abs(zi)
+    word = tuple(indices)
     if not abelianize_clause_word(game, word).is_sign():
         raise AssertionError("witness word does not abelianize to the sign element")
     return word

@@ -120,13 +120,21 @@ def parse_json(text: str, alphabet=None) -> Game:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise GameFormatError(f"invalid JSON: {e}") from None
-    if not isinstance(obj, dict) or "clauses" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("clauses"), list):
         raise GameFormatError("JSON game must be an object with a 'clauses' array")
     rows = []
     for c in obj["clauses"]:
         if not isinstance(c, dict) or "q" not in c or "s" not in c:
             raise GameFormatError("each clause must be an object {\"q\": [...], \"s\": 0|1}")
-        rows.append((list(c["q"]), c["s"]))
+        # type() rather than isinstance(): JSON true/false are not numbers here.
+        q, s = c["q"], c["s"]
+        if not isinstance(q, list) or any(type(x) is not int for x in q):
+            raise GameFormatError(f"clause questions {q!r} must be an array of integers")
+        if type(s) is not int:
+            raise GameFormatError(f"clause parity {s!r} must be the integer 0 or 1")
+        rows.append((q, s))
+    if "alphabet" in obj and type(obj["alphabet"]) is not int:
+        raise GameFormatError(f"alphabet {obj['alphabet']!r} must be an integer")
     declared = obj.get("alphabet", alphabet)
     game = make_game(rows, alphabet=declared)
     if "players" in obj and obj["players"] != game.players:

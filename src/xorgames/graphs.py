@@ -19,7 +19,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .games import Clause, Game
-from .words import ClauseWord
 
 Vertex = tuple[int, int]  # (player, question), 0-based
 
@@ -184,7 +183,7 @@ class PairGraph:
             raise KeyError(f"component of {v} has no {self.beta}-side vertex")
         return self.representative[comp]
 
-    def path_word(self, v: Vertex) -> ClauseWord:
+    def path_word(self, v: Vertex) -> tuple[int, ...]:
         """Tree path from v to its representative as a clause sequence.
 
         The reduced word projects to v's letter on v's own side and to the
@@ -197,7 +196,7 @@ class PairGraph:
         while cur != rep:
             cur, i = self._parent[cur]
             indices.append(i)
-        return ClauseWord.from_indices(indices)
+        return tuple(indices)
 
 
 def hyperedge_path(game: Game, start: Vertex, goal: Vertex) -> tuple[int, ...]:
@@ -264,8 +263,8 @@ class GadgetWord:
     base_path: tuple[int, ...]
     kept_pairs: tuple[tuple[int, int], ...]
 
-    def clause_word(self) -> ClauseWord:
-        return ClauseWord.from_indices([i for pair in self.kept_pairs for i in pair])
+    def clause_word(self) -> tuple[int, ...]:
+        return tuple(i for pair in self.kept_pairs for i in pair)
 
 
 def gadget_word(game: Game, pg: PairGraph, question: int) -> GadgetWord:

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .games import Game
-from .words import ClauseWord, GroupWord, clause_to_word, multiply
+from .words import GroupWord, clause_to_word, multiply
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class SearchStatus(Enum):
 @dataclass(frozen=True)
 class SigmaSearchResult:
     status: SearchStatus
-    word: ClauseWord | None = None
+    word: tuple[int, ...] | None = None
 
 
 def bounded_sigma_search(game: Game, max_len: int, cap: int = 10**6) -> SigmaSearchResult:
@@ -145,12 +145,12 @@ def bounded_sigma_search(game: Game, max_len: int, cap: int = 10**6) -> SigmaSea
     gens = [clause_to_word(game, i) for i in range(game.num_clauses)]
     parent: dict[GroupWord, tuple[GroupWord, int] | None] = {identity: None}
 
-    def backtrack(state) -> ClauseWord:
+    def backtrack(state) -> tuple[int, ...]:
         indices = []
         while parent[state] is not None:
             state, i = parent[state]
             indices.append(i)
-        return ClauseWord.from_indices(reversed(indices))
+        return tuple(reversed(indices))
 
     frontier = deque([(identity, 0)])
     while frontier:

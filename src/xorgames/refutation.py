@@ -24,13 +24,7 @@ from dataclasses import dataclass
 from .decider import abelianize_clause_word, check_obstruction, decide, witness_clause_word
 from .games import Game
 from .graphs import PairGraph, build_hypergraph, decompose_components, gadget_word
-from .words import (
-    ClauseWord,
-    GroupWord,
-    commutator,
-    is_parity_trivial,
-    reduce_clause_word,
-)
+from .words import GroupWord, commutator, is_parity_trivial, reduce_clause_word
 
 
 class PipelineError(RuntimeError):
@@ -47,13 +41,11 @@ class WordLengthCapExceeded(PipelineError):
 
 @dataclass(frozen=True)
 class RefutationCertificate:
-    """z: the abelian witness; sigma_word: clause sequence multiplying out to
-    the sign element; reduced: its normal form (must be the sign element)."""
+    """z: the abelian witness; sigma_word: clause indices whose product is
+    exactly the sign element (checked before the certificate is built)."""
 
     z: tuple[int, ...]
-    sigma_word: ClauseWord
-    reduced: GroupWord
-    verified: bool
+    sigma_word: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -159,32 +151,32 @@ class Homomorphisms:
             (2, 0): PairGraph(game, 2, 0),
             (2, 1): PairGraph(game, 2, 1),
         }
-        self._gamma: dict[tuple[int, int], ClauseWord] = {}
+        self._gamma: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def phi_simple(self, player: int, letters) -> ClauseWord:
+    def phi_simple(self, player: int, letters) -> tuple[int, ...]:
         indices = []
         for q in letters:
             i = self.simple[player][q] if 0 <= q < self.game.alphabet else None
             if i is None:
                 raise ValueError(f"question {q + 1} never asked of player {player + 1}")
             indices.append(i)
-        return ClauseWord.from_indices(indices)
+        return tuple(indices)
 
-    def tree_path(self, alpha: int, beta: int, letter: int) -> ClauseWord:
+    def tree_path(self, alpha: int, beta: int, letter: int) -> tuple[int, ...]:
         return self.pair[(alpha, beta)].path_word((alpha, letter))
 
-    def phi_pair(self, alpha: int, beta: int, letters) -> ClauseWord:
+    def phi_pair(self, alpha: int, beta: int, letters) -> tuple[int, ...]:
         """Right inverse of the alpha projection that kills the image in
         beta whenever some clause product does: path out, inverse path back."""
         if len(letters) % 2 != 0:
             raise ValueError("pair right inverse is defined on even words")
-        out = ClauseWord()
+        out = []
         for r in range(0, len(letters), 2):
-            out = out * self.tree_path(alpha, beta, letters[r])
-            out = out * self.tree_path(alpha, beta, letters[r + 1]).inverse()
-        return out
+            out += self.tree_path(alpha, beta, letters[r])
+            out += self.tree_path(alpha, beta, letters[r + 1])[::-1]
+        return tuple(out)
 
-    def gamma(self, beta: int, question: int) -> ClauseWord:
+    def gamma(self, beta: int, question: int) -> tuple[int, ...]:
         key = (beta, question)
         if key not in self._gamma:
             self._gamma[key] = gadget_word(
@@ -192,22 +184,20 @@ class Homomorphisms:
             ).clause_word()
         return self._gamma[key]
 
-    def f_map(self, beta: int, letters) -> ClauseWord:
+    def f_map(self, beta: int, letters) -> tuple[int, ...]:
         """Gadget-upgraded pair right inverse of the player-3 projection."""
         if len(letters) % 2 != 0:
             raise ValueError("gadget maps are defined on even words")
-        out = ClauseWord()
+        out = []
         for r in range(0, len(letters), 2):
             i, j = letters[r], letters[r + 1]
-            out = out * self.tree_path(2, beta, i) * self.gamma(beta, i)
-            out = (
-                out
-                * self.gamma(beta, j).inverse()
-                * self.tree_path(2, beta, j).inverse()
-            )
-        return out
+            out += self.tree_path(2, beta, i)
+            out += self.gamma(beta, i)
+            out += self.gamma(beta, j)[::-1]
+            out += self.tree_path(2, beta, j)[::-1]
+        return tuple(out)
 
-    def player_part(self, cw: ClauseWord, player: int) -> tuple[int, ...]:
+    def player_part(self, cw: tuple[int, ...], player: int) -> tuple[int, ...]:
         return reduce_clause_word(self.game, cw).per_player[player]
 
     def compose_f(self, letters) -> tuple[int, ...]:
@@ -215,14 +205,14 @@ class Homomorphisms:
         y = self.player_part(self.f_map(0, letters), 2)
         return self.player_part(self.f_map(1, y), 2)
 
-    def preprocess(self, w: ClauseWord) -> ClauseWord:
+    def preprocess(self, w: tuple[int, ...]) -> tuple[int, ...]:
         """Clear players 1 and 2 exactly, preserving the abelian image."""
         if not abelianize_clause_word(self.game, w).is_sign():
             raise ValueError("preprocess input must abelianize to the sign element")
         red = reduce_clause_word(self.game, w)
-        h = w * self.phi_simple(0, tuple(reversed(red.per_player[0])))
+        h = w + self.phi_simple(0, red.per_player[0][::-1])
         red_h = reduce_clause_word(self.game, h)
-        w2 = h * self.phi_pair(1, 0, tuple(reversed(red_h.per_player[1])))
+        w2 = h + self.phi_pair(1, 0, red_h.per_player[1][::-1])
         red2 = reduce_clause_word(self.game, w2)
         if red2.per_player[0] or red2.per_player[1]:
             raise PipelineError("preprocess failed to clear players 1 and 2")
@@ -237,7 +227,7 @@ def construct_sigma_word(
     """Run the full pipeline on a connected 3-player game with witness z."""
     hom = Homomorphisms(game)
 
-    def guard(stage: str, cw: ClauseWord) -> ClauseWord:
+    def guard(stage: str, cw):
         if len(cw) > cap:
             raise WordLengthCapExceeded(stage, len(cw), cap)
         return cw
@@ -252,7 +242,7 @@ def construct_sigma_word(
 
     w2 = guard(
         "first gadget stage",
-        w1 * hom.phi_pair(2, 0, y1).inverse() * hom.f_map(0, y1),
+        w1 + hom.phi_pair(2, 0, y1)[::-1] + hom.f_map(0, y1),
     )
     red2 = reduce_clause_word(game, w2)
     if red2.per_player[0] or red2.per_player[1]:
@@ -263,23 +253,22 @@ def construct_sigma_word(
         raise PipelineError("player-3 residue escaped the commutator subgroup")
     w3 = guard(
         "second gadget stage",
-        w2 * hom.phi_pair(2, 1, y2).inverse() * hom.f_map(1, y2),
+        w2 + hom.phi_pair(2, 1, y2)[::-1] + hom.f_map(1, y2),
     )
     red3 = reduce_clause_word(game, w3)
     if red3.per_player[0] or red3.per_player[1]:
         raise PipelineError("players 1, 2 reappeared after the second gadget stage")
 
-    w4 = ClauseWord()
+    pieces: list[int] = []
     for entry in entries:
         fu = hom.compose_f(entry.conj)
         fp = hom.compose_f(entry.pair1)
         fq = hom.compose_f(entry.pair2)
-        piece = (
-            hom.phi_simple(2, fu)
-            * commutator(hom.phi_pair(2, 0, fp), hom.phi_pair(2, 1, fq))
-            * hom.phi_simple(2, tuple(reversed(fu)))
-        )
-        w4 = guard("commutator assembly", w4 * piece)
+        pieces += hom.phi_simple(2, fu)
+        pieces += commutator(hom.phi_pair(2, 0, fp), hom.phi_pair(2, 1, fq))
+        pieces += hom.phi_simple(2, fu[::-1])
+        guard("commutator assembly", pieces)
+    w4 = tuple(pieces)
 
     red4 = reduce_clause_word(game, w4)
     if red4.per_player[0] or red4.per_player[1] or red4.sigma:
@@ -287,13 +276,10 @@ def construct_sigma_word(
     if red4.per_player[2] != red3.per_player[2]:
         raise PipelineError("assembled word does not match the player-3 residue")
 
-    final = guard("final word", w3 * w4.inverse())
-    reduced = reduce_clause_word(game, final)
-    if reduced != GroupWord.sign(3):
+    final = guard("final word", w3 + w4[::-1])
+    if reduce_clause_word(game, final) != GroupWord.sign(3):
         raise PipelineError("final clause word does not reduce to the sign element")
-    return RefutationCertificate(
-        z=tuple(int(x) for x in z), sigma_word=final, reduced=reduced, verified=True
-    )
+    return RefutationCertificate(z=tuple(int(x) for x in z), sigma_word=final)
 
 
 def refute(game: Game, cap: int = 10**6) -> RefutationCertificate:
@@ -309,13 +295,9 @@ def refute(game: Game, cap: int = 10**6) -> RefutationCertificate:
         z = [0] * game.num_clauses
         for j, zj in enumerate(local.z):
             z[comp.clause_map[j]] = zj
-        sigma_word = ClauseWord(
-            tuple((comp.clause_map[i], inv) for i, inv in local.sigma_word.entries)
-        )
+        sigma_word = tuple(comp.clause_map[i] for i in local.sigma_word)
         reduced = reduce_clause_word(game, sigma_word)
         if reduced != GroupWord.sign(3) or not check_obstruction(game, z):
             raise PipelineError("certificate failed re-verification on the full game")
-        return RefutationCertificate(
-            z=tuple(z), sigma_word=sigma_word, reduced=reduced, verified=True
-        )
+        return RefutationCertificate(z=tuple(z), sigma_word=sigma_word)
     raise ValueError("game has no parity refutation; nothing to construct")

@@ -8,15 +8,16 @@ letter sequence per player together with the sign bit; equality of normal
 forms is equality in the group.
 
 Letters are 0-based question indices. A clause maps to the word with one
-letter per player and the clause's parity as the sign bit; products of
-clauses are tracked as ClauseWord index sequences so that membership in the
-clause subgroup stays manifest.
+letter per player and the clause's parity as the sign bit. A product of
+clauses (a clause word) is a plain tuple of 0-based clause indices, so that
+membership in the clause subgroup stays manifest: clauses are involutions,
+so its inverse is the reversed tuple and products are concatenations.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .games import Game
 
@@ -103,44 +104,17 @@ def clause_to_word(game: Game, i: int) -> GroupWord:
     return GroupWord(tuple((q,) for q in c.questions), c.parity)
 
 
-@dataclass(frozen=True)
-class ClauseWord:
-    """A product of clauses, kept as (clause index, inverted) entries.
-
-    Clauses are involutions so the inverted flag never changes the group
-    element; it is retained so certificates stay auditable as written.
-    """
-
-    entries: tuple[tuple[int, bool], ...] = field(default_factory=tuple)
-
-    @classmethod
-    def from_indices(cls, indices) -> "ClauseWord":
-        return cls(tuple((int(i), False) for i in indices))
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.entries)
-
-    def inverse(self) -> "ClauseWord":
-        return ClauseWord(tuple((i, not inv) for i, inv in reversed(self.entries)))
-
-    def __mul__(self, other: "ClauseWord") -> "ClauseWord":
-        return ClauseWord(self.entries + other.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
+def commutator(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return (*a, *b, *a[::-1], *b[::-1])
 
 
-def commutator(a: ClauseWord, b: ClauseWord) -> ClauseWord:
-    return a * b * a.inverse() * b.inverse()
-
-
-def reduce_clause_word(game: Game, cw: ClauseWord) -> GroupWord:
+def reduce_clause_word(game: Game, cw: tuple[int, ...]) -> GroupWord:
     """Multiply the referenced clauses out to a normal form."""
     seqs = [[] for _ in range(game.players)]
     sigma = 0
-    for i, _ in cw.entries:
-        if not 0 <= i < game.num_clauses:
+    num_clauses = game.num_clauses
+    for i in cw:
+        if not 0 <= i < num_clauses:
             raise IndexError(f"clause index {i} out of range")
         c = game.clauses[i]
         for a, q in enumerate(c.questions):

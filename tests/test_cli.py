@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from xorgames.cli import main
+from xorgames.games import generate_random_game, serialize_text
 
 GHZ_TEXT = "1 1 1 0\n1 2 2 1\n2 1 2 1\n2 2 1 1\n"
 PAIR_TEXT = "1 1 1 0\n1 1 1 1\n"
@@ -141,6 +143,64 @@ def test_verify_never_trusts_stored_flag(tmp_path, capsys):
     assert code == 1 and "FAIL" in out
 
 
+# Certificates for the pair game that int() coercion once truncated into a
+# PASS, or that crashed the loader: every z and sigma_word entry must be a
+# JSON integer.
+NON_INTEGER_CERTIFICATES = {
+    "float_z": {"type": "obstruction", "z": [1.5, -1.9]},
+    "float_sigma_word": {"type": "refutation", "z": [1, -1], "sigma_word": [1.0, 2.9]},
+    "bool_z": {"type": "obstruction", "z": [True, -1]},
+    "string_z": {"type": "obstruction", "z": ["a", 1, 1, 1]},
+    "scalar_z": {"type": "obstruction", "z": 5},
+    "missing_sigma_word": {"type": "refutation", "z": [1, -1]},
+}
+
+
+def _verify_with(tmp_path, capsys, command, game_text, cert_obj):
+    game = tmp_path / "game.txt"
+    game.write_text(game_text)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(cert_obj))
+    return run(capsys, command, str(game), str(cert))
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_CERTIFICATES))
+def test_verify_rejects_non_integer_entries(tmp_path, capsys, case):
+    code, out, err = _verify_with(
+        tmp_path, capsys, "verify", PAIR_TEXT, NON_INTEGER_CERTIFICATES[case]
+    )
+    assert code == 65
+    assert "PASS" not in out
+    assert err.startswith("error: bad certificate") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize(
+    "phi,code",
+    [
+        (5, 65),
+        (None, 65),  # no phi key at all
+        ([["x"]], 65),
+        ([[float("inf")]], 65),  # JSON Infinity has no exact fraction
+        ([[0]], 66),  # one player for a three-player game
+        ([["0/1", "1/2"], ["0/1"], ["0/1", "0/1"]], 66),  # ragged row
+    ],
+)
+def test_phase_table_loader(tmp_path, capsys, command, phi, code):
+    cert = {"type": "merp"} if phi is None else {"type": "merp", "phi": phi}
+    got, _, err = _verify_with(tmp_path, capsys, command, GHZ_TEXT, cert)
+    assert got == code
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_decide_rejects_wrong_json_types(tmp_path, capsys):
+    game = tmp_path / "game.json"
+    game.write_text('{"clauses": [{"q": [1.5, 2, 1], "s": 0}]}')
+    code, _, err = run(capsys, "decide", str(game), "--out", str(tmp_path / "c.json"))
+    assert code == 65
+    assert err.startswith("error: bad game") and "Traceback" not in err
+
+
 def test_verify_game_mismatch(tmp_path, capsys, ghz_file):
     cert = str(tmp_path / "cert.json")
     run(capsys, "decide", ghz_file, "--out", cert)
@@ -214,6 +274,42 @@ def test_certificates_byte_stable(tmp_path, capsys, ghz_file):
     run(capsys, "decide", ghz_file, "--out", str(first))
     run(capsys, "decide", ghz_file, "--out", str(second))
     assert first.read_bytes() == second.read_bytes()
+
+
+# sha256 of the certificate bytes `decide` writes for the 3-player game
+# generate_random_game(3, n, 5n, seed), recorded before clause words became
+# plain index tuples; any change to the refutation word shows up here.
+GOLDEN_REFUTATIONS = {
+    (12, 1): "daca3dff12b5d45fcd4c444426af5406821163d61539020dbad26de0ba71632f",
+    (12, 3): "9d8da1983735beadc1fa527e10e751539d8911110bb32141e364b381a0551b18",
+    (16, 1): "cd831e798a18e42827ce24933fed298a9147c38e08af07af25bdde7d667f4e06",
+    (20, 3): "f647a8c94ce6f1558da34e46ba854915054c594536751546056310d9d2841ac0",
+}
+
+
+def _decide_random(tmp_path, capsys, n, seed):
+    game = tmp_path / f"g{n}_{seed}.txt"
+    game.write_text(serialize_text(generate_random_game(3, n, 5 * n, seed)))
+    cert = tmp_path / f"c{n}_{seed}.json"
+    code, out, err = run(capsys, "decide", str(game), "--out", str(cert))
+    return code, err, cert
+
+
+@pytest.mark.parametrize("n,seed", sorted(GOLDEN_REFUTATIONS))
+def test_refutation_certificate_golden(tmp_path, capsys, n, seed):
+    code, err, cert = _decide_random(tmp_path, capsys, n, seed)
+    assert code == 1 and err == ""
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == GOLDEN_REFUTATIONS[(n, seed)]
+
+
+def test_refutation_cap_abort_golden(tmp_path, capsys):
+    code, err, cert = _decide_random(tmp_path, capsys, 20, 0)
+    assert code == 70
+    assert err == (
+        "error: refutation pipeline failed: commutator decomposition:"
+        " clause word length 1000208 exceeds cap 1000000\n"
+    )
+    assert not cert.exists()
 
 
 def test_gen_json_format(capsys):

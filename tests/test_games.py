@@ -80,6 +80,23 @@ def test_json_player_mismatch():
         parse_json('{"players": 2, "clauses": [{"q": [1, 1, 1], "s": 0}]}')
 
 
+# Wrong JSON types: a string or float question, a non-array clause list, a
+# string alphabet, and a boolean parity (JSON true is not the integer 1).
+BAD_JSON_TYPES = {
+    "string_question": '{"clauses": [{"q": ["x", 1, 1], "s": 0}]}',
+    "float_question": '{"clauses": [{"q": [1.5, 2, 1], "s": 0}]}',
+    "clauses_not_array": '{"clauses": 5}',
+    "string_alphabet": '{"alphabet": "3", "clauses": [{"q": [1, 1, 1], "s": 0}]}',
+    "bool_parity": '{"clauses": [{"q": [1, 1, 1], "s": true}]}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_JSON_TYPES))
+def test_json_rejects_wrong_types(case):
+    with pytest.raises(GameFormatError):
+        parse_json(BAD_JSON_TYPES[case])
+
+
 def test_parse_game_autodetect():
     game = parse_text(GHZ_TEXT)
     assert parse_game(serialize_json(game)) == game

@@ -154,7 +154,7 @@ def test_three_clause_tree_path():
     )
     pg = PairGraph(game, 0, 1)
     word = pg.path_word((0, 1))
-    assert word.indices == (3, 1, 0)
+    assert word == (3, 1, 0)
     red = reduce_clause_word(game, word)
     assert red.per_player[0] == (1,)
     assert red.per_player[1] == (0,)

@@ -13,7 +13,6 @@ from xorgames.refutation import (
     WordLengthCapExceeded,
 )
 from xorgames.words import (
-    ClauseWord,
     GroupWord,
     is_parity_trivial,
     multiply,
@@ -142,7 +141,7 @@ def test_pair_right_inverse_a2():
             indices = []
             for _ in range(rng.randrange(1, 3)):
                 indices.extend(rng.choice(pairs))
-            h = ClauseWord.from_indices(indices)
+            h = tuple(indices)
             red_h = reduce_clause_word(game, h)
             assert project_player(red_h, beta) == GroupWord.identity(3)
             v = red_h.per_player[alpha]
@@ -188,7 +187,7 @@ def test_preprocess_random_member_games():
 def test_preprocess_rejects_wrong_abelianization():
     hom = Homomorphisms(GHZ)
     with pytest.raises(ValueError):
-        hom.preprocess(ClauseWord.from_indices([0, 0]))
+        hom.preprocess((0, 0))
 
 
 # --- gadget maps ---------------------------------------------------------
@@ -358,8 +357,6 @@ def test_decompose_empty():
 
 def test_construct_sigma_word_pair_game():
     cert = construct_sigma_word(PAIR, (1, -1))
-    assert cert.verified
-    assert cert.reduced == GroupWord.sign(3)
     assert reduce_clause_word(PAIR, cert.sigma_word) == GroupWord.sign(3)
 
 
@@ -370,7 +367,6 @@ def test_construct_sigma_word_fuzz():
     for game in games:
         z = decide(game).obstruction_z
         cert = construct_sigma_word(game, z)
-        assert cert.verified
         assert reduce_clause_word(game, cert.sigma_word) == GroupWord.sign(3)
         assert abelianize_clause_word(game, cert.sigma_word).is_sign()
         assert len(cert.sigma_word) % 2 == 0
@@ -403,9 +399,8 @@ def test_refute_driver_multi_component():
     game = parse_text(text)
     assert len(decompose_components(game)) == 2
     cert = refute(game)
-    assert cert.verified
     assert reduce_clause_word(game, cert.sigma_word) == GroupWord.sign(3)
-    assert set(cert.sigma_word.indices) <= {4, 5}
+    assert set(cert.sigma_word) <= {4, 5}
     assert cert.z[:4] == (0, 0, 0, 0)
 
 

@@ -4,11 +4,11 @@ import pytest
 
 from xorgames.games import parse_text
 from xorgames.words import (
-    ClauseWord,
     GroupWord,
     canon_letters,
     canon_word,
     clause_to_word,
+    commutator,
     inverse,
     is_parity_trivial,
     multiply,
@@ -113,20 +113,28 @@ def test_player_decomposition():
 
 
 def test_reduce_clause_word():
-    assert reduce_clause_word(GHZ, ClauseWord()) == GroupWord.identity(3)
-    word = ClauseWord.from_indices([0, 1])
-    assert reduce_clause_word(PAIR, word) == GroupWord.sign(3)
-    assert reduce_clause_word(GHZ, ClauseWord.from_indices([2, 2])) == GroupWord.identity(3)
+    assert reduce_clause_word(GHZ, ()) == GroupWord.identity(3)
+    assert reduce_clause_word(PAIR, (0, 1)) == GroupWord.sign(3)
+    assert reduce_clause_word(GHZ, (2, 2)) == GroupWord.identity(3)
     with pytest.raises(IndexError):
-        reduce_clause_word(GHZ, ClauseWord.from_indices([9]))
+        reduce_clause_word(GHZ, (9,))
+    with pytest.raises(IndexError):
+        reduce_clause_word(GHZ, (0, -1))
 
 
-def test_clause_word_inverse_flags():
-    w = ClauseWord.from_indices([0, 1, 2])
-    inv = w.inverse()
-    assert inv.indices == (2, 1, 0)
-    assert all(flag for _, flag in inv.entries)
-    assert reduce_clause_word(GHZ, w * inv) == GroupWord.identity(3)
+def test_clause_word_inverse():
+    w = (0, 1, 2)
+    assert w[::-1] == (2, 1, 0)
+    assert reduce_clause_word(GHZ, w + w[::-1]) == GroupWord.identity(3)
+    assert reduce_clause_word(GHZ, w[::-1]) == inverse(reduce_clause_word(GHZ, w))
+
+
+def test_clause_word_commutator():
+    a, b = (0, 1), (2,)
+    assert commutator(a, b) == (0, 1, 2, 1, 0, 2)
+    ra, rb = reduce_clause_word(GHZ, a), reduce_clause_word(GHZ, b)
+    expected = multiply(multiply(ra, rb), multiply(inverse(ra), inverse(rb)))
+    assert reduce_clause_word(GHZ, commutator(a, b)) == expected
 
 
 def test_clause_word_per_player_parity():
@@ -136,7 +144,7 @@ def test_clause_word_per_player_parity():
     rng = random.Random(17)
     for _ in range(150):
         length = rng.randrange(1, 8)
-        cw = ClauseWord.from_indices(rng.randrange(4) for _ in range(length))
+        cw = tuple(rng.randrange(4) for _ in range(length))
         red = reduce_clause_word(GHZ, cw)
         for alpha in range(3):
             assert len(red.per_player[alpha]) % 2 == length % 2
