@@ -22,7 +22,6 @@ from .games import (
 from .graphs import (
     ClauseHypergraph,
     ComponentGame,
-    GadgetWord,
     PairGraph,
     build_hypergraph,
     decompose_components,

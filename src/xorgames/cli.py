@@ -137,6 +137,8 @@ def cmd_decide(args) -> int:
         return 1
 
     full_z = _embed_component_z(game, components, outcomes)
+    if not check_obstruction(game, full_z):
+        raise CliError("obstruction failed re-verification", EX_INTERNAL)
     cert = dict(
         _certificate_header(game), type="obstruction", z=list(full_z)
     )

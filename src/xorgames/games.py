@@ -56,9 +56,6 @@ class Game:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def question(self, i: int, player: int) -> int:
-        return self.clauses[i].questions[player]
-
 
 def make_game(rows, alphabet=None) -> Game:
     """Build a Game from (questions, parity) rows with 1-based questions."""

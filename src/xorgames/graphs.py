@@ -29,11 +29,6 @@ class ClauseHypergraph:
     component_id: dict[Vertex, int]
     num_components: int
 
-    def vertices(self):
-        return [
-            (a, q) for a in range(self.game.players) for q in range(self.game.alphabet)
-        ]
-
     def clause_component(self, i: int) -> int:
         return self.component_id[(0, self.game.clauses[i].questions[0])]
 
@@ -251,29 +246,14 @@ def hyperedge_path(game: Game, start: Vertex, goal: Vertex) -> tuple[int, ...]:
     return tuple(reversed(path))
 
 
-@dataclass(frozen=True)
-class GadgetWord:
-    """Kept-pair subsequence of a hyperedge path.
-
-    base_path is the full minimal path; kept_pairs lists the adjacent clause
-    pairs that cancel on the kept player (both clauses ask it the same
-    question). Minimality makes the kept pairs disjoint.
-    """
-
-    base_path: tuple[int, ...]
-    kept_pairs: tuple[tuple[int, int], ...]
-
-    def clause_word(self) -> tuple[int, ...]:
-        return tuple(i for pair in self.kept_pairs for i in pair)
-
-
-def gadget_word(game: Game, pg: PairGraph, question: int) -> GadgetWord:
+def gadget_word(game: Game, pg: PairGraph, question: int) -> tuple[int, ...]:
     """Gadget for a third-player question relative to pg = PairGraph(2, beta).
 
     Walks the minimal hyperedge path from the question's pair-graph
-    representative to the smallest question asked of player beta, keeping
-    the adjacent pairs that agree on the other player of {1, 2}. Requires a
-    connected game.
+    representative to the smallest question asked of player beta and keeps,
+    as a clause word, the adjacent pairs that agree on the other player of
+    {1, 2}; minimality makes the kept pairs disjoint. Requires a connected
+    game.
     """
     if pg.alpha != 2 or pg.beta not in (0, 1):
         raise ValueError("gadgets pair player 3 with player 1 or 2")
@@ -290,11 +270,11 @@ def gadget_word(game: Game, pg: PairGraph, question: int) -> GadgetWord:
     while r + 1 < len(path):
         i, j = path[r], path[r + 1]
         if game.clauses[i].questions[other] == game.clauses[j].questions[other]:
-            kept.append((i, j))
+            kept += (i, j)
             r += 2
         else:
             r += 1
-    return GadgetWord(base_path=path, kept_pairs=tuple(kept))
+    return tuple(kept)
 
 
 def hypergraph_dot(game: Game) -> str:

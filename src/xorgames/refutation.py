@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .decider import abelianize_clause_word, check_obstruction, decide, witness_clause_word
 from .games import Game
 from .graphs import PairGraph, build_hypergraph, decompose_components, gadget_word
-from .words import GroupWord, commutator, is_parity_trivial, reduce_clause_word
+from .words import GroupWord, commutator, is_parity_trivial, reduce_clause_word, reduce_letters
 
 
 class PipelineError(RuntimeError):
@@ -114,15 +114,21 @@ def decompose_pair_commutators(letters, budget: int | None = None) -> list[Commu
                 work[j], work[j + 2] = c, a
                 changed = True
     right.reverse()
-    residue = []
-    for x in work:
-        if residue and residue[-1] == x:
-            residue.pop()
-        else:
-            residue.append(x)
-    if residue:
+    if reduce_letters(work):
         raise AssertionError("sorted word failed to cancel; input not parity-trivial?")
     return left + right
+
+
+def _alternate(images, letters) -> tuple[int, ...]:
+    """Extend a letter map to even words the way every right inverse here
+    does: the pair x.y maps to images(x) . images(y)^-1, and clause words
+    invert by reversal."""
+    if len(letters) % 2 != 0:
+        raise ValueError("right inverses are defined on even words")
+    out = []
+    for t, q in enumerate(letters):
+        out += images(q)[::-1] if t % 2 else images(q)
+    return tuple(out)
 
 
 class Homomorphisms:
@@ -130,7 +136,8 @@ class Homomorphisms:
 
     simple[a][q] is the smallest clause asking q of player a. Pair tables
     hold the spanning-tree path words of the three needed pair graphs, and
-    the gadget tables the kept-pair words along minimal hyperedge paths.
+    the letter table each gadget map's per-letter clause word (tree path,
+    then gadget word) with its player-3 residue.
     """
 
     def __init__(self, game: Game):
@@ -151,7 +158,7 @@ class Homomorphisms:
             (2, 0): PairGraph(game, 2, 0),
             (2, 1): PairGraph(game, 2, 1),
         }
-        self._gamma: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._letters: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def phi_simple(self, player: int, letters) -> tuple[int, ...]:
         indices = []
@@ -168,42 +175,30 @@ class Homomorphisms:
     def phi_pair(self, alpha: int, beta: int, letters) -> tuple[int, ...]:
         """Right inverse of the alpha projection that kills the image in
         beta whenever some clause product does: path out, inverse path back."""
-        if len(letters) % 2 != 0:
-            raise ValueError("pair right inverse is defined on even words")
-        out = []
-        for r in range(0, len(letters), 2):
-            out += self.tree_path(alpha, beta, letters[r])
-            out += self.tree_path(alpha, beta, letters[r + 1])[::-1]
-        return tuple(out)
+        return _alternate(lambda q: self.tree_path(alpha, beta, q), letters)
 
-    def gamma(self, beta: int, question: int) -> tuple[int, ...]:
+    def _letter(self, beta: int, question: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """One letter's gadget-map clause word and its player-3 residue,
+        computed on first use."""
         key = (beta, question)
-        if key not in self._gamma:
-            self._gamma[key] = gadget_word(
+        if key not in self._letters:
+            word = self.tree_path(2, beta, question) + gadget_word(
                 self.game, self.pair[(2, beta)], question
-            ).clause_word()
-        return self._gamma[key]
+            )
+            self._letters[key] = (word, reduce_clause_word(self.game, word).per_player[2])
+        return self._letters[key]
 
     def f_map(self, beta: int, letters) -> tuple[int, ...]:
         """Gadget-upgraded pair right inverse of the player-3 projection."""
-        if len(letters) % 2 != 0:
-            raise ValueError("gadget maps are defined on even words")
-        out = []
-        for r in range(0, len(letters), 2):
-            i, j = letters[r], letters[r + 1]
-            out += self.tree_path(2, beta, i)
-            out += self.gamma(beta, i)
-            out += self.gamma(beta, j)[::-1]
-            out += self.tree_path(2, beta, j)[::-1]
-        return tuple(out)
-
-    def player_part(self, cw: tuple[int, ...], player: int) -> tuple[int, ...]:
-        return reduce_clause_word(self.game, cw).per_player[player]
+        return _alternate(lambda q: self._letter(beta, q)[0], letters)
 
     def compose_f(self, letters) -> tuple[int, ...]:
-        """Player-3 residue of both gadget maps in sequence."""
-        y = self.player_part(self.f_map(0, letters), 2)
-        return self.player_part(self.f_map(1, y), 2)
+        """Player-3 residue of both gadget maps in sequence. Every clause
+        asks player 3 exactly one question, so the residue of an f_map word
+        is the alternating product of its letters' residues; each of those
+        has odd length, so the intermediate word stays even."""
+        y = reduce_letters(_alternate(lambda q: self._letter(0, q)[1], letters))
+        return reduce_letters(_alternate(lambda q: self._letter(1, q)[1], y))
 
     def preprocess(self, w: tuple[int, ...]) -> tuple[int, ...]:
         """Clear players 1 and 2 exactly, preserving the abelian image."""
@@ -235,7 +230,7 @@ def construct_sigma_word(
     w = witness_clause_word(game, z)
     w1 = guard("preprocess", hom.preprocess(w))
 
-    y1 = hom.player_part(w1, 2)
+    y1 = reduce_clause_word(game, w1).per_player[2]
     if not is_parity_trivial(y1):
         raise PipelineError("player-3 residue not parity-trivial after preprocess")
     entries = decompose_pair_commutators(y1, budget=cap)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from .games import Game
 
 
-def _reduce(letters) -> tuple[int, ...]:
+def reduce_letters(letters) -> tuple[int, ...]:
+    """Free reduction of a one-player word: adjacent equal letters cancel."""
     out = []
     for x in letters:
         if out and out[-1] == x:
@@ -41,7 +42,7 @@ class GroupWord:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "per_player", tuple(_reduce(seq) for seq in self.per_player)
+            self, "per_player", tuple(reduce_letters(seq) for seq in self.per_player)
         )
         object.__setattr__(self, "sigma", self.sigma & 1)
 
@@ -56,12 +57,6 @@ class GroupWord:
     @property
     def players(self) -> int:
         return len(self.per_player)
-
-    def is_identity(self) -> bool:
-        return self.sigma == 0 and all(not seq for seq in self.per_player)
-
-    def is_even(self) -> bool:
-        return all(len(seq) % 2 == 0 for seq in self.per_player)
 
     def length(self) -> int:
         return sum(len(seq) for seq in self.per_player)

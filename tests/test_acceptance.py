@@ -12,7 +12,7 @@ from itertools import product
 
 from xorgames.decider import decide
 from xorgames.games import generate_random_game, make_game, parse_text
-from xorgames.graphs import decompose_components
+from xorgames.graphs import decompose_components, gadget_word
 from xorgames.intlinalg import IntMatrix, smith_normal_form
 from xorgames.merp import (
     analytic_merp_value,
@@ -295,7 +295,7 @@ def test_criterion_7_algebraic_property_suites():
             assert project_player(image, beta) == GroupWord.identity(3)
             b1_hits += 1
         assert project_player(image, other) == project_player(plain, other)  # B2
-        residue = hom.player_part(hom.f_map(beta, letters), 2)
+        residue = reduce_clause_word(game, hom.f_map(beta, letters)).per_player[2]
         back = reduce_clause_word(game, hom.phi_pair(2, beta, residue))
         assert project_player(back, beta) == GroupWord.identity(3)  # B3
         cross = reduce_clause_word(game, hom.phi_pair(2, other, residue))
@@ -314,7 +314,7 @@ def test_criterion_7_algebraic_property_suites():
         other = 1 - beta
         asked = sorted({c.questions[2] for c in game.clauses})
         q = rng.choice(asked)
-        gamma = hom.gamma(beta, q)
+        gamma = gadget_word(game, hom.pair[(2, beta)], q)
         red = reduce_clause_word(game, gamma)
         assert project_player(red, other) == GroupWord.identity(3)  # C1
         # C2: the beta image of the pair inverse of gamma's player-3 residue

@@ -61,6 +61,27 @@ def test_decide_chsh_inconclusive(tmp_path, capsys):
     assert obj["z"] in ([1, -1, -1, 1], [-1, 1, 1, -1])
 
 
+def test_decide_rechecks_inconclusive_obstruction(tmp_path, capsys, monkeypatch):
+    import xorgames.cli
+
+    embed = xorgames.cli._embed_component_z
+
+    def corrupted(*args):
+        z = list(embed(*args))
+        z[0] += 1
+        return tuple(z)
+
+    monkeypatch.setattr(xorgames.cli, "_embed_component_z", corrupted)
+    game = tmp_path / "pair4.txt"
+    game.write_text("1 1 1 1 0\n1 1 1 1 1\n")
+    cert = tmp_path / "cert.json"
+    code, out, err = run(capsys, "decide", str(game), "--out", str(cert))
+    assert code == 70
+    assert "verdict:" not in out
+    assert "obstruction failed re-verification" in err
+    assert not cert.exists()
+
+
 def test_decide_classically_perfect(tmp_path, capsys):
     game = tmp_path / "sat.txt"
     game.write_text(SAT_TEXT)

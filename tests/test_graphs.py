@@ -226,10 +226,10 @@ def test_gadget_word_walkthrough():
     # minimal hyperedge path is x5x5x5, x5x4x4, x2x3x4, x1x3x3, x1x1x1, and
     # the pairs kept are the two that agree on player 1.
     pg = PairGraph(SAMPLE_B, 2, 1)
-    gw = gadget_word(SAMPLE_B, pg, 4)  # question 5, 0-based 4
-    assert gw.base_path == (9, 7, 4, 2, 0)
-    kept = sorted(i for pair in gw.kept_pairs for i in pair)
-    assert kept == [0, 2, 7, 9]  # x1x1x1, x1x3x3, x5x4x4, x5x5x5
+    assert pg.rep_of((2, 4)) == (1, 4)
+    assert hyperedge_path(SAMPLE_B, (1, 4), (1, 0)) == (9, 7, 4, 2, 0)
+    # x5x5x5, x5x4x4, then x1x3x3, x1x1x1; question 5 is 0-based 4
+    assert gadget_word(SAMPLE_B, pg, 4) == (9, 7, 2, 0)
 
 
 def test_gadget_kept_pairs_cancel_on_other_player():
@@ -245,9 +245,7 @@ def test_gadget_kept_pairs_cancel_on_other_player():
             pg = PairGraph(game, 2, beta)
             other = 1 - beta
             for q in sorted({c.questions[2] for c in game.clauses}):
-                gw = gadget_word(game, pg, q)
-                word = gw.clause_word()
-                red = reduce_clause_word(game, word)
+                red = reduce_clause_word(game, gadget_word(game, pg, q))
                 assert project_player(red, other) == GroupWord.identity(3)
                 checked += 1
     assert checked >= 50

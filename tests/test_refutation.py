@@ -156,6 +156,8 @@ def test_pair_right_inverse_rejects_odd_words():
     hom = Homomorphisms(GHZ)
     with pytest.raises(ValueError):
         hom.phi_pair(2, 0, (1,))
+    with pytest.raises(ValueError):
+        hom.f_map(0, (1,))
 
 
 # --- preprocessing -------------------------------------------------------
@@ -258,7 +260,7 @@ def test_gadget_map_b3():
         asked = sorted({c.questions[2] for c in game.clauses})
         for beta in (0, 1):
             letters = tuple(rng.choice(asked) for _ in range(2 * rng.randrange(1, 3)))
-            residue = hom.player_part(hom.f_map(beta, letters), 2)
+            residue = reduce_clause_word(game, hom.f_map(beta, letters)).per_player[2]
             word = hom.phi_pair(2, beta, residue)
             red = reduce_clause_word(game, word)
             assert project_player(red, beta) == GroupWord.identity(3)
@@ -276,7 +278,7 @@ def test_gadget_map_b4():
         for beta in (0, 1):
             alpha_other = 1 - beta
             letters = tuple(rng.choice(asked) for _ in range(2 * rng.randrange(1, 3)))
-            residue = hom.player_part(hom.f_map(beta, letters), 2)
+            residue = reduce_clause_word(game, hom.f_map(beta, letters)).per_player[2]
             lhs = reduce_clause_word(game, hom.phi_pair(2, alpha_other, residue))
             rhs = reduce_clause_word(game, hom.phi_pair(2, alpha_other, letters))
             assert project_player(lhs, alpha_other) == project_player(rhs, alpha_other)
@@ -301,6 +303,50 @@ def test_gadget_map_stays_in_commutator_subgroup():
             assert project_sigma(reduce_clause_word(game, word)) == 0
             checked += 1
     assert checked >= 30
+
+
+def whole_word_compose_f(game, hom, letters):
+    """compose_f by definition: both gadget maps as whole clause words."""
+    y = reduce_clause_word(game, hom.f_map(0, letters)).per_player[2]
+    return reduce_clause_word(game, hom.f_map(1, y)).per_player[2]
+
+
+def test_compose_f_matches_whole_word_definition():
+    rng = random.Random(197)
+    checked = 0
+    for game in connected_games(rng, 60, alphabet=4, max_clauses=8):
+        hom = Homomorphisms(game)
+        asked = sorted({c.questions[2] for c in game.clauses})
+        for _ in range(3):
+            letters = tuple(rng.choice(asked) for _ in range(2 * rng.randrange(4)))
+            assert hom.compose_f(letters) == whole_word_compose_f(game, hom, letters)
+            checked += 1
+    assert checked >= 150
+
+
+def test_compose_f_matches_on_commutator_entries():
+    # The words the pipeline feeds it: conjugators and pairs of the
+    # decomposed player-3 residue of a preprocessed witness word.
+    rng = random.Random(199)
+    conjugators = pairs = 0
+    for game in connected_games(rng, 20, alphabet=5, max_clauses=15, member=True):
+        hom = Homomorphisms(game)
+        w1 = hom.preprocess(witness_clause_word(game, decide(game).obstruction_z))
+        for entry in decompose_pair_commutators(reduce_clause_word(game, w1).per_player[2]):
+            for letters in (entry.conj, entry.pair1, entry.pair2):
+                assert hom.compose_f(letters) == whole_word_compose_f(game, hom, letters)
+            conjugators += bool(entry.conj)
+            pairs += 2
+    assert conjugators >= 50 and pairs >= 100
+
+
+def test_gadget_map_rejects_unasked_questions_every_time():
+    game = parse_text("1 1 1 0\n1 1 1 1\n2 2 1 0")  # question 2 never asked of player 3
+    hom = Homomorphisms(game)
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            hom.compose_f((0, 1))
+    assert hom.compose_f((0, 0)) == ()
 
 
 # --- commutator decomposition -------------------------------------------
