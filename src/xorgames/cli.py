@@ -40,12 +40,12 @@ class CliError(Exception):
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read {path}: {e}", EX_DATA) from None
 
 
@@ -104,48 +104,35 @@ def cmd_decide(args) -> int:
         if classical:
             # Integral phases double as a deterministic classical strategy.
             strategy = _integral_strategy(game, bits)
-        if not merp.verify_merp_symbolic(game, strategy):
-            raise CliError("strategy failed symbolic verification", EX_INTERNAL)
-        if game.players <= 12:
-            sim = merp.simulate_merp_value(game, strategy)
-            if abs(sim.value - 1) > 1e-9:
-                raise CliError("strategy failed numeric verification", EX_INTERNAL)
-        cert = dict(_certificate_header(game), type="merp", **strategy.to_dict())
-        cert["classically_perfect"] = classical
-        _dump_certificate(cert, args.out)
-        print(f"verdict: {'CLASSICALLY_PERFECT' if classical else 'PERFECT'}")
-        print(f"certificate: {args.out}")
-        return 0
-
-    if game.players == 3:
+        cert = dict(type="merp", classically_perfect=classical, **strategy.to_dict())
+        verdict, code = ("CLASSICALLY_PERFECT" if classical else "PERFECT"), 0
+    elif game.players == 3:
         try:
             certificate = refute(game, cap=args.cap)
         except PipelineError as e:
             raise CliError(f"refutation pipeline failed: {e}", EX_INTERNAL) from None
-        if reduce_clause_word(game, certificate.sigma_word) != GroupWord.sign(3):
-            raise CliError("refutation failed re-verification", EX_INTERNAL)
         cert = dict(
-            _certificate_header(game),
             type="refutation",
             z=list(certificate.z),
             sigma_word=[i + 1 for i in certificate.sigma_word],
             verified=True,
         )
-        _dump_certificate(cert, args.out)
-        print("verdict: NOT_PERFECT")
-        print(f"certificate: {args.out}")
-        return 1
+        verdict, code = "NOT_PERFECT", 1
+    else:
+        cert = dict(type="obstruction", z=list(_embed_component_z(game, components, outcomes)))
+        verdict, code = "NO_PERFECT_MERP_INCONCLUSIVE", 2
 
-    full_z = _embed_component_z(game, components, outcomes)
-    if not check_obstruction(game, full_z):
-        raise CliError("obstruction failed re-verification", EX_INTERNAL)
-    cert = dict(
-        _certificate_header(game), type="obstruction", z=list(full_z)
-    )
-    _dump_certificate(cert, args.out)
-    print("verdict: NO_PERFECT_MERP_INCONCLUSIVE")
+    # Re-check exactly what gets written, with the checks `verify` runs.
+    try:
+        ok = _check_certificate(game, cert)
+    except CliError:  # content `verify` would reject as malformed
+        ok = False
+    if not ok:
+        raise CliError(f"{cert['type']} failed re-verification", EX_INTERNAL)
+    _dump_certificate(dict(_certificate_header(game), **cert), args.out)
+    print(f"verdict: {verdict}")
     print(f"certificate: {args.out}")
-    return 2
+    return code
 
 
 def _integral_strategy(game: Game, bits) -> MerpStrategy:
@@ -207,14 +194,20 @@ def _int_list(obj: dict, key: str) -> list[int]:
     return value
 
 
-def cmd_verify(args) -> int:
-    game = _load_game(args.game, args.format)
-    obj = _load_certificate(args.certificate)
-    _check_cert_matches(obj, game)
+def _check_certificate(game: Game, obj: dict) -> bool:
+    """Whether the certificate proves its claim about the game, recomputed
+    from its content alone. Malformed content raises CliError: 65, or 66
+    for clause indices and table shapes the game does not have."""
     kind = obj["type"]
     if kind == "merp":
         strategy = _load_strategy(obj, game)
+        classical = obj.get("classically_perfect", False)
+        if type(classical) is not bool:
+            raise CliError("bad certificate: 'classically_perfect' must be a boolean", EX_DATA)
         ok = merp.verify_merp_symbolic(game, strategy)
+        if ok and classical:
+            # Only integral phases are a deterministic classical strategy.
+            ok = all(x.denominator == 1 for row in strategy.phi for x in row)
         if ok and game.players <= 12:
             ok = abs(merp.simulate_merp_value(game, strategy).value - 1) <= 1e-9
     elif kind == "refutation":
@@ -228,6 +221,14 @@ def cmd_verify(args) -> int:
         ok = check_obstruction(game, _int_list(obj, "z"))
     else:
         raise CliError(f"unknown certificate type {kind!r}", EX_DATA)
+    return ok
+
+
+def cmd_verify(args) -> int:
+    game = _load_game(args.game, args.format)
+    obj = _load_certificate(args.certificate)
+    _check_cert_matches(obj, game)
+    ok = _check_certificate(game, obj)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -238,7 +239,11 @@ def cmd_simulate(args) -> int:
     _check_cert_matches(obj, game)
     if obj["type"] != "merp":
         raise CliError("simulate needs a phase-table certificate", EX_DATA)
-    result = merp.simulate_merp_value(game, _load_strategy(obj, game))
+    strategy = _load_strategy(obj, game)
+    try:
+        result = merp.simulate_merp_value(game, strategy)
+    except ValueError as e:  # the state vector's player cap
+        raise CliError(str(e), EX_USAGE) from None
     print(f"value: {result.value:.12f}")
     print(f"exact_perfect: {'yes' if result.exact_perfect else 'no'}")
     return 0
@@ -246,7 +251,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_classical(args) -> int:
     game = _load_game(args.game, args.format)
-    result = oracle.classical_value(game)
+    try:
+        result = oracle.classical_value(game)
+    except ValueError as e:  # the brute-force cap
+        raise CliError(str(e), EX_USAGE) from None
     print(result.value)
     assignment = " ".join(
         f"x{q + 1}^({a + 1})={val:+d}"
@@ -293,6 +301,16 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _at_least(minimum: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xorgames",
@@ -312,11 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_game_arg(p)
     p.add_argument("--out", default="certificate.json", help="certificate path")
     p.add_argument(
-        "--max-len", type=int, default=0, metavar="N",
+        "--max-len", type=_at_least(0), default=0, metavar="N",
         help="also run the brute-force sign search to depth N as a cross-check",
     )
     p.add_argument(
-        "--cap", type=int, default=10**6, metavar="N",
+        "--cap", type=_at_least(1), default=10**6, metavar="N",
         help="abort refutation construction beyond N clause letters",
     )
     p.set_defaults(func=cmd_decide)

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 from .decider import abelianize_clause_word, check_obstruction, decide, witness_clause_word
 from .games import Game
 from .graphs import PairGraph, build_hypergraph, decompose_components, gadget_word
-from .words import GroupWord, commutator, is_parity_trivial, reduce_clause_word, reduce_letters
+from .words import (
+    GroupWord, commutator, inverse, is_parity_trivial, multiply, reduce_clause_word, reduce_letters,
+)
 
 
 class PipelineError(RuntimeError):
@@ -200,8 +202,9 @@ class Homomorphisms:
         y = reduce_letters(_alternate(lambda q: self._letter(0, q)[1], letters))
         return reduce_letters(_alternate(lambda q: self._letter(1, q)[1], y))
 
-    def preprocess(self, w: tuple[int, ...]) -> tuple[int, ...]:
-        """Clear players 1 and 2 exactly, preserving the abelian image."""
+    def preprocess(self, w: tuple[int, ...]) -> tuple[tuple[int, ...], GroupWord]:
+        """Clear players 1 and 2 exactly, preserving the abelian image.
+        Returns the new clause word and its normal form."""
         if not abelianize_clause_word(self.game, w).is_sign():
             raise ValueError("preprocess input must abelianize to the sign element")
         red = reduce_clause_word(self.game, w)
@@ -213,7 +216,7 @@ class Homomorphisms:
             raise PipelineError("preprocess failed to clear players 1 and 2")
         if not abelianize_clause_word(self.game, w2).is_sign():
             raise PipelineError("preprocess broke the abelian image")
-        return w2
+        return w2, red2
 
 
 def construct_sigma_word(
@@ -227,32 +230,25 @@ def construct_sigma_word(
             raise WordLengthCapExceeded(stage, len(cw), cap)
         return cw
 
-    w = witness_clause_word(game, z)
-    w1 = guard("preprocess", hom.preprocess(w))
+    w, red = hom.preprocess(witness_clause_word(game, z))
+    guard("preprocess", w)
 
-    y1 = reduce_clause_word(game, w1).per_player[2]
+    y1 = red.per_player[2]
     if not is_parity_trivial(y1):
         raise PipelineError("player-3 residue not parity-trivial after preprocess")
     entries = decompose_pair_commutators(y1, budget=cap)
 
-    w2 = guard(
-        "first gadget stage",
-        w1 + hom.phi_pair(2, 0, y1)[::-1] + hom.f_map(0, y1),
-    )
-    red2 = reduce_clause_word(game, w2)
-    if red2.per_player[0] or red2.per_player[1]:
-        raise PipelineError("players 1, 2 reappeared after the first gadget stage")
-
-    y2 = red2.per_player[2]
-    if not is_parity_trivial(y2):
-        raise PipelineError("player-3 residue escaped the commutator subgroup")
-    w3 = guard(
-        "second gadget stage",
-        w2 + hom.phi_pair(2, 1, y2)[::-1] + hom.f_map(1, y2),
-    )
-    red3 = reduce_clause_word(game, w3)
-    if red3.per_player[0] or red3.per_player[1]:
-        raise PipelineError("players 1, 2 reappeared after the second gadget stage")
+    # `red` stays the normal form of `w`: normal forms are unique, so the
+    # product of the forms of w and of an appended piece is the form of both.
+    for beta, stage in enumerate(("first gadget stage", "second gadget stage")):
+        y = red.per_player[2]
+        if beta and not is_parity_trivial(y):  # y1 was checked above
+            raise PipelineError("player-3 residue escaped the commutator subgroup")
+        piece = hom.phi_pair(2, beta, y)[::-1] + hom.f_map(beta, y)
+        w = guard(stage, w + piece)
+        red = multiply(red, reduce_clause_word(game, piece))
+        if red.per_player[0] or red.per_player[1]:
+            raise PipelineError(f"players 1, 2 reappeared after the {stage}")
 
     pieces: list[int] = []
     for entry in entries:
@@ -268,11 +264,11 @@ def construct_sigma_word(
     red4 = reduce_clause_word(game, w4)
     if red4.per_player[0] or red4.per_player[1] or red4.sigma:
         raise PipelineError("assembled commutator word leaks outside player 3")
-    if red4.per_player[2] != red3.per_player[2]:
+    if red4.per_player[2] != red.per_player[2]:
         raise PipelineError("assembled word does not match the player-3 residue")
 
-    final = guard("final word", w3 + w4[::-1])
-    if reduce_clause_word(game, final) != GroupWord.sign(3):
+    final = guard("final word", w + w4[::-1])
+    if multiply(red, inverse(red4)) != GroupWord.sign(3):
         raise PipelineError("final clause word does not reduce to the sign element")
     return RefutationCertificate(z=tuple(int(x) for x in z), sigma_word=final)
 

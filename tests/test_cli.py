@@ -1,10 +1,13 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from xorgames.cli import main
 from xorgames.games import generate_random_game, serialize_text
+from xorgames.merp import MerpStrategy
+from xorgames.refutation import RefutationCertificate
 
 GHZ_TEXT = "1 1 1 0\n1 2 2 1\n2 1 2 1\n2 2 1 1\n"
 PAIR_TEXT = "1 1 1 0\n1 1 1 1\n"
@@ -61,7 +64,45 @@ def test_decide_chsh_inconclusive(tmp_path, capsys):
     assert obj["z"] in ([1, -1, -1, 1], [-1, 1, 1, -1])
 
 
-def test_decide_rechecks_inconclusive_obstruction(tmp_path, capsys, monkeypatch):
+def _corrupt_merp(monkeypatch):
+    import xorgames.merp
+
+    solve = xorgames.merp.solve_merp
+
+    def corrupted(game):
+        phi = [list(row) for row in solve(game).phi]
+        phi[0][0] += Fraction(1, 2)
+        return MerpStrategy(tuple(map(tuple, phi)))
+
+    monkeypatch.setattr(xorgames.merp, "solve_merp", corrupted)
+    return GHZ_TEXT
+
+
+def _corrupt_classical(monkeypatch):
+    import xorgames.cli
+
+    # Wins every round of SAT_TEXT, but with half-integer phases it is no
+    # deterministic classical strategy.
+    half = Fraction(1, 2)
+    table = MerpStrategy(((half, Fraction(0)), (half, half), (Fraction(1), Fraction(1))))
+    monkeypatch.setattr(xorgames.cli, "_integral_strategy", lambda game, bits: table)
+    return SAT_TEXT
+
+
+def _corrupt_refutation(monkeypatch, damage=lambda word: word[:-1]):
+    import xorgames.cli
+
+    refute = xorgames.cli.refute
+
+    def corrupted(game, cap):
+        cert = refute(game, cap=cap)
+        return RefutationCertificate(cert.z, damage(cert.sigma_word))
+
+    monkeypatch.setattr(xorgames.cli, "refute", corrupted)
+    return PAIR_TEXT
+
+
+def _corrupt_obstruction(monkeypatch):
     import xorgames.cli
 
     embed = xorgames.cli._embed_component_z
@@ -72,13 +113,33 @@ def test_decide_rechecks_inconclusive_obstruction(tmp_path, capsys, monkeypatch)
         return tuple(z)
 
     monkeypatch.setattr(xorgames.cli, "_embed_component_z", corrupted)
-    game = tmp_path / "pair4.txt"
-    game.write_text("1 1 1 1 0\n1 1 1 1 1\n")
+    return "1 1 1 1 0\n1 1 1 1 1\n"
+
+
+# Per case: the certificate type `decide` writes, and a function that
+# patches the program to build that certificate wrong and returns the game.
+CORRUPTIONS = {
+    "merp": ("merp", _corrupt_merp),
+    "classical": ("merp", _corrupt_classical),
+    "refutation": ("refutation", _corrupt_refutation),
+    # A clause index the game lacks: `verify` would exit 66, `decide` 70.
+    "refutation_index": (
+        "refutation", lambda mp: _corrupt_refutation(mp, lambda word: word + (2,))
+    ),
+    "obstruction": ("obstruction", _corrupt_obstruction),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_decide_rechecks_written_certificate(tmp_path, capsys, monkeypatch, case):
+    kind, corrupt = CORRUPTIONS[case]
+    game = tmp_path / "game.txt"
+    game.write_text(corrupt(monkeypatch))
     cert = tmp_path / "cert.json"
     code, out, err = run(capsys, "decide", str(game), "--out", str(cert))
     assert code == 70
     assert "verdict:" not in out
-    assert "obstruction failed re-verification" in err
+    assert err == f"error: {kind} failed re-verification\n"
     assert not cert.exists()
 
 
@@ -92,6 +153,33 @@ def test_decide_classically_perfect(tmp_path, capsys):
     obj = json.loads(open(cert).read())
     assert obj["classically_perfect"] is True
     assert all(x in ("0/1", "1/1") for row in obj["phi"] for x in row)
+
+
+@pytest.mark.parametrize(
+    "game_name,flag,code",
+    [
+        ("sat", True, 0),
+        ("ghz", True, 1),  # half-integer phases are no classical strategy
+        ("ghz", "yes", 65),
+        ("ghz", 1, 65),
+        ("ghz", None, 0),  # no flag, no claim
+    ],
+)
+def test_verify_checks_classical_claim(tmp_path, capsys, game_name, flag, code):
+    game = tmp_path / "game.txt"
+    game.write_text({"ghz": GHZ_TEXT, "sat": SAT_TEXT}[game_name])
+    cert = tmp_path / "cert.json"
+    run(capsys, "decide", str(game), "--out", str(cert))
+    obj = json.loads(cert.read_text())
+    if flag is None:
+        del obj["classically_perfect"]
+    else:
+        obj["classically_perfect"] = flag
+    cert.write_text(json.dumps(obj))
+    got, out, err = run(capsys, "verify", str(game), str(cert))
+    assert got == code
+    assert out == {0: "PASS\n", 1: "FAIL\n", 65: ""}[code]
+    assert "Traceback" not in err
 
 
 def test_decide_with_search_crosscheck(tmp_path, capsys):
@@ -119,6 +207,17 @@ def test_decide_missing_file(capsys):
 def test_usage_error(capsys):
     assert main(["decide"]) == 64
     assert main(["not-a-command"]) == 64
+
+
+@pytest.mark.parametrize("option,value", [("--cap", "0"), ("--cap", "-5"), ("--max-len", "-1")])
+def test_decide_rejects_out_of_range_arguments(tmp_path, capsys, option, value):
+    game = tmp_path / "pair.txt"
+    game.write_text(PAIR_TEXT)
+    cert = tmp_path / "cert.json"
+    code, out, err = run(capsys, "decide", str(game), "--out", str(cert), option, value)
+    assert code == 64
+    assert out == "" and not cert.exists()
+    assert f"argument {option}: must be at least" in err
 
 
 def test_verify_roundtrip(tmp_path, capsys, ghz_file):
@@ -238,6 +337,22 @@ def test_simulate(tmp_path, capsys, ghz_file):
     assert code == 0
     assert "value: 1.000000000000" in out
     assert "exact_perfect: yes" in out
+
+
+def test_resource_limits_are_usage_errors(tmp_path, capsys):
+    wide = tmp_path / "wide.txt"
+    wide.write_text(serialize_text(generate_random_game(3, 9, 1, 0)))
+    code, out, err = run(capsys, "classical", str(wide))
+    assert code == 64 and out == ""
+    assert err == "error: 2^27 assignments is beyond the brute-force cap\n"
+
+    many = tmp_path / "many.txt"
+    many.write_text("1 " * 13 + "0\n")
+    cert = tmp_path / "cert.json"
+    assert run(capsys, "decide", str(many), "--out", str(cert))[0] == 0
+    code, out, err = run(capsys, "simulate", str(many), str(cert))
+    assert code == 64 and out == ""
+    assert err == "error: state-vector simulation capped at 12 players\n"
 
 
 def test_classical_prints_fraction(capsys, ghz_file):

@@ -131,6 +131,34 @@ def test_decompose_preserves_clause_multiset():
                     assert comp.question_map[a][new_c.questions[a]] == old_c.questions[a]
 
 
+def test_decompose_matches_networkx_components():
+    nx = pytest.importorskip("networkx")
+    from xorgames.games import generate_random_game
+
+    rng = random.Random(307)
+    split = 0
+    for _ in range(100):
+        k = rng.randrange(2, 6)
+        game = generate_random_game(
+            k, rng.randrange(2, 7), rng.randrange(1, 9), rng.randrange(10**6)
+        )
+        graph = nx.Graph()
+        for i, c in enumerate(game.clauses):
+            graph.add_edges_from((("clause", i), (a, q)) for a, q in enumerate(c.questions))
+        expected = sorted(
+            (
+                min(v for v in comp if v[0] != "clause"),
+                [i for _, i in sorted(v for v in comp if v[0] == "clause")],
+            )
+            for comp in nx.connected_components(graph)
+        )
+        assert [list(comp.clause_map) for comp in decompose_components(game)] == [
+            clauses for _, clauses in expected
+        ]
+        split += len(expected) > 1
+    assert split >= 20
+
+
 def test_two_disjoint_clauses_make_two_components():
     game = parse_text("1 1 1 0\n2 2 2 0")
     hg = build_hypergraph(game)

@@ -166,8 +166,8 @@ def test_pair_right_inverse_rejects_odd_words():
 def test_preprocess_pair_game():
     hom = Homomorphisms(PAIR)
     w = witness_clause_word(PAIR, (1, -1))
-    out = hom.preprocess(w)
-    red = reduce_clause_word(PAIR, out)
+    out, red = hom.preprocess(w)
+    assert red == reduce_clause_word(PAIR, out)
     assert red.per_player[0] == () and red.per_player[1] == ()
     assert abelianize_clause_word(PAIR, out).is_sign()
 
@@ -177,8 +177,8 @@ def test_preprocess_random_member_games():
     for game in connected_games(rng, 25, member=True):
         hom = Homomorphisms(game)
         w = witness_clause_word(game, decide(game).obstruction_z)
-        out = hom.preprocess(w)
-        red = reduce_clause_word(game, out)
+        out, red = hom.preprocess(w)
+        assert red == reduce_clause_word(game, out)
         assert red.per_player[0] == () and red.per_player[1] == ()
         assert abelianize_clause_word(game, out).is_sign()
         assert len(out) % 2 == 0
@@ -331,8 +331,8 @@ def test_compose_f_matches_on_commutator_entries():
     conjugators = pairs = 0
     for game in connected_games(rng, 20, alphabet=5, max_clauses=15, member=True):
         hom = Homomorphisms(game)
-        w1 = hom.preprocess(witness_clause_word(game, decide(game).obstruction_z))
-        for entry in decompose_pair_commutators(reduce_clause_word(game, w1).per_player[2]):
+        _, red = hom.preprocess(witness_clause_word(game, decide(game).obstruction_z))
+        for entry in decompose_pair_commutators(red.per_player[2]):
             for letters in (entry.conj, entry.pair1, entry.pair2):
                 assert hom.compose_f(letters) == whole_word_compose_f(game, hom, letters)
             conjugators += bool(entry.conj)

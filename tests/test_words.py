@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from xorgames.games import parse_text
+from xorgames.games import generate_random_game, parse_text
 from xorgames.words import (
     GroupWord,
     canon_letters,
@@ -120,6 +120,23 @@ def test_reduce_clause_word():
         reduce_clause_word(GHZ, (9,))
     with pytest.raises(IndexError):
         reduce_clause_word(GHZ, (0, -1))
+
+
+def test_normal_forms_multiply_to_the_normal_form_of_the_concatenation():
+    # Normal forms are unique, so a word grown piece by piece can carry its
+    # normal form instead of reducing the whole word again.
+    rng = random.Random(211)
+    for _ in range(300):
+        game = generate_random_game(
+            rng.randrange(2, 6), rng.randrange(1, 5), rng.randrange(1, 9), rng.randrange(10**6)
+        )
+        a, b = (
+            tuple(rng.randrange(game.num_clauses) for _ in range(rng.randrange(16)))
+            for _ in range(2)
+        )
+        assert multiply(reduce_clause_word(game, a), reduce_clause_word(game, b)) == (
+            reduce_clause_word(game, a + b)
+        )
 
 
 def test_clause_word_inverse():
