@@ -6,9 +6,9 @@ re-verified before any verdict is printed and verification failure is a hard
 error, never a downgraded verdict.
 
 Exit codes: 0 verdict PERFECT or CLASSICALLY_PERFECT (or verify pass),
-1 NOT_PERFECT (or verify fail), 2 NO_PERFECT_MERP_INCONCLUSIVE, 64 usage,
-65 unreadable or malformed input, 66 certificate/game mismatch, 70 internal
-verification failure.
+1 NOT_PERFECT (or verify fail), 2 NO_PERFECT_MERP_INCONCLUSIVE, 64 usage or
+`classical`'s size limit, 65 unreadable, malformed or too deeply nested input,
+66 certificate/game mismatch, 70 internal verification failure.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def _embed_component_z(game, components, outcomes):
 def _load_certificate(path: str) -> dict:
     try:
         obj = json.loads(_read_input(path))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise CliError(f"bad certificate: {e}", EX_DATA) from None
     if not isinstance(obj, dict) or "type" not in obj:
         raise CliError("certificate must be a JSON object with a 'type'", EX_DATA)
@@ -208,8 +208,7 @@ def _check_certificate(game: Game, obj: dict) -> bool:
         if ok and classical:
             # Only integral phases are a deterministic classical strategy.
             ok = all(x.denominator == 1 for row in strategy.phi for x in row)
-        if ok and game.players <= 12:
-            ok = abs(merp.simulate_merp_value(game, strategy).value - 1) <= 1e-9
+        ok = ok and abs(merp.simulate_merp_value(game, strategy).value - 1) <= 1e-9
     elif kind == "refutation":
         z = _int_list(obj, "z")
         word = tuple(i - 1 for i in _int_list(obj, "sigma_word"))
@@ -239,11 +238,7 @@ def cmd_simulate(args) -> int:
     _check_cert_matches(obj, game)
     if obj["type"] != "merp":
         raise CliError("simulate needs a phase-table certificate", EX_DATA)
-    strategy = _load_strategy(obj, game)
-    try:
-        result = merp.simulate_merp_value(game, strategy)
-    except ValueError as e:  # the state vector's player cap
-        raise CliError(str(e), EX_USAGE) from None
+    result = merp.simulate_merp_value(game, _load_strategy(obj, game))
     print(f"value: {result.value:.12f}")
     print(f"exact_perfect: {'yes' if result.exact_perfect else 'no'}")
     return 0

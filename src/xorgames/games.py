@@ -115,7 +115,7 @@ def parse_text(text: str, alphabet=None) -> Game:
 def parse_json(text: str, alphabet=None) -> Game:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise GameFormatError(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("clauses"), list):
         raise GameFormatError("JSON game must be an object with a 'clauses' array")

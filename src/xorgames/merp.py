@@ -8,16 +8,16 @@ mod 2, a linear diophantine condition solved exactly over the rationals.
 GF(2) alone is not enough: some perfect games need half-integer phases.
 
 Phases are exact Fractions end to end; floats appear only inside the
-numerical simulator and its closed-form cross-check.
+numerical simulator and its closed-form cross-check. Each observable maps a
+basis state to one basis state, so the GHZ state stays two-sparse.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .decider import incidence_matrix
 from .games import Game
@@ -91,23 +91,28 @@ def verify_merp_symbolic(game: Game, strat: MerpStrategy) -> bool:
     return True
 
 
-def merp_observable(theta: float) -> np.ndarray:
+def _matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def merp_observable(theta: float) -> tuple[tuple[complex, ...], ...]:
     """exp(i*theta*Z) X exp(-i*theta*Z), built as the literal conjugation."""
-    phase = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
-    pauli_x = np.array([[0, 1], [1, 0]], dtype=complex)
-    return phase @ pauli_x @ phase.conj().T
+    phase = ((cmath.exp(1j * theta), 0j), (0j, cmath.exp(-1j * theta)))
+    pauli_x = ((0j, 1 + 0j), (1 + 0j, 0j))
+    phase_dagger = tuple(tuple(x.conjugate() for x in col) for col in zip(*phase))
+    return _matmul(_matmul(phase, pauli_x), phase_dagger)
 
 
-def _ghz_state(k: int) -> np.ndarray:
-    psi = np.zeros(2**k, dtype=complex)
-    psi[0] = psi[-1] = 1 / math.sqrt(2)
-    return psi
-
-
-def _apply_single_qubit(op: np.ndarray, psi: np.ndarray, qubit: int, k: int):
-    tensor = psi.reshape((2,) * k)
-    tensor = np.tensordot(op, tensor, axes=([1], [qubit]))
-    return np.moveaxis(tensor, 0, qubit).reshape(-1)
+def _apply_single_qubit(op, psi: dict[int, complex], qubit: int, k: int) -> dict[int, complex]:
+    """op on one qubit (0 = most significant bit) of a sparse {index: amplitude}."""
+    mask = 1 << (k - 1 - qubit)
+    out: dict[int, complex] = {}
+    for index, amp in psi.items():
+        bit = 1 if index & mask else 0
+        for row, target in ((0, index & ~mask), (1, index | mask)):
+            if op[row][bit]:  # a zero entry adds no amplitude
+                out[target] = out.get(target, 0j) + op[row][bit] * amp
+    return out
 
 
 def simulate_merp_value(game: Game, strat: MerpStrategy) -> StrategyValue:
@@ -117,18 +122,18 @@ def simulate_merp_value(game: Game, strat: MerpStrategy) -> StrategyValue:
     observable to its qubit of the GHZ state and takes inner products.
     """
     k = game.players
-    if k > 12:
-        raise ValueError("state-vector simulation capped at 12 players")
     if strat.players != k or strat.alphabet < game.alphabet:
         raise ValueError("strategy dimensions do not match the game")
-    psi = _ghz_state(k)
+    # The observable has period 2 in phi: reducing first keeps float() finite.
+    ops = [[merp_observable(float(x % 2) * math.pi / 2) for x in row] for row in strat.phi]
+    psi = {0: 1 / math.sqrt(2) + 0j, (1 << k) - 1: 1 / math.sqrt(2) + 0j}
     total = 0.0
     for c in game.clauses:
         vec = psi
         for a, q in enumerate(c.questions):
-            theta = float(strat.phi[a][q]) * math.pi / 2
-            vec = _apply_single_qubit(merp_observable(theta), vec, a, k)
-        total += ((-1) ** c.parity) * float(np.real(np.vdot(psi, vec)))
+            vec = _apply_single_qubit(ops[a][q], vec, a, k)
+        overlap = sum(amp.conjugate() * vec.get(i, 0j) for i, amp in psi.items())
+        total += ((-1) ** c.parity) * overlap.real
     value = 0.5 + total / (2 * game.num_clauses)
     if not -1e-12 <= value <= 1 + 1e-12:
         raise AssertionError(f"simulated value {value} outside [0, 1]")
@@ -138,7 +143,7 @@ def simulate_merp_value(game: Game, strat: MerpStrategy) -> StrategyValue:
 def analytic_merp_value(game: Game, strat: MerpStrategy) -> float:
     """Closed form: 1/2 + (1/2m) * sum_j (-1)^s_j cos(pi * phase sum)."""
     total = sum(
-        ((-1) ** c.parity) * math.cos(math.pi * float(clause_phase_sum(game, strat, i)))
+        ((-1) ** c.parity) * math.cos(math.pi * float(clause_phase_sum(game, strat, i) % 2))
         for i, c in enumerate(game.clauses)
     )
     return 0.5 + total / (2 * game.num_clauses)
@@ -151,8 +156,7 @@ def observables_pairwise_commute(thetas, tol: float = 1e-12) -> bool:
     commute with each other, which is what lets a shared-phase strategy
     satisfy the quotient relations the decider works in.
     """
-    t1, t2, t3, t4 = thetas
-    m = [merp_observable(t) for t in (t1, t2, t3, t4)]
-    lhs = m[0] @ m[1] @ m[2] @ m[3]
-    rhs = m[2] @ m[3] @ m[0] @ m[1]
-    return bool(np.max(np.abs(lhs - rhs)) <= tol)
+    m1, m2, m3, m4 = (merp_observable(t) for t in thetas)
+    lhs = _matmul(_matmul(_matmul(m1, m2), m3), m4)
+    rhs = _matmul(_matmul(_matmul(m3, m4), m1), m2)
+    return all(abs(x - y) <= tol for lr, rr in zip(lhs, rhs) for x, y in zip(lr, rr))

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -346,13 +350,55 @@ def test_resource_limits_are_usage_errors(tmp_path, capsys):
     assert code == 64 and out == ""
     assert err == "error: 2^27 assignments is beyond the brute-force cap\n"
 
+
+def test_simulate_beyond_twelve_players(tmp_path, capsys):
+    # The GHZ game with ten more players, each always asked question 1.
     many = tmp_path / "many.txt"
-    many.write_text("1 " * 13 + "0\n")
+    many.write_text("".join(
+        line[:-2] + " 1" * 10 + line[-2:] + "\n" for line in GHZ_TEXT.splitlines()
+    ))
     cert = tmp_path / "cert.json"
-    assert run(capsys, "decide", str(many), "--out", str(cert))[0] == 0
+    code, out, _ = run(capsys, "decide", str(many), "--out", str(cert))
+    assert code == 0 and "verdict: PERFECT" in out
+    assert json.loads(cert.read_text())["players"] == 13
+    assert run(capsys, "verify", str(many), str(cert))[:2] == (0, "PASS\n")
     code, out, err = run(capsys, "simulate", str(many), str(cert))
-    assert code == 64 and out == ""
-    assert err == "error: state-vector simulation capped at 12 players\n"
+    assert code == 0 and err == ""
+    assert "value: 1.000000000000" in out
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_huge_even_phase_is_still_perfect(tmp_path, capsys, ghz_file, command):
+    cert = tmp_path / "cert.json"
+    run(capsys, "decide", ghz_file, "--out", str(cert))
+    obj = json.loads(cert.read_text())
+    obj["phi"][0][obj["phi"][0].index("0/1")] = str(2 * 10**400)
+    code, out, err = _verify_with(tmp_path, capsys, command, GHZ_TEXT, obj)
+    assert code == 0 and err == ""
+    assert out.startswith("PASS\n" if command == "verify" else "value: 1.000000000000\n")
+
+
+def test_deeply_nested_json_is_malformed_input(tmp_path, capsys, ghz_file):
+    nested = "[" * 100_000 + "]" * 100_000
+    game = tmp_path / "game.json"
+    game.write_text('{"clauses": ' + nested + "}")
+    code, out, err = run(capsys, "decide", str(game), "--out", str(tmp_path / "c.json"))
+    assert code == 65 and "verdict" not in out
+    assert err.startswith("error: bad game: invalid JSON")
+    cert = tmp_path / "cert.json"
+    cert.write_text(nested)
+    code, out, err = run(capsys, "verify", ghz_file, str(cert))
+    assert code == 65 and out == ""
+    assert err.startswith("error: bad certificate")
+
+
+def test_cli_import_needs_no_numpy():
+    import xorgames
+
+    src = str(Path(xorgames.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    check = "import sys, xorgames.cli; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", check], env=env, check=True)
 
 
 def test_classical_prints_fraction(capsys, ghz_file):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from xorgames.decider import decide
-from xorgames.games import generate_random_game, parse_text
+from xorgames.games import generate_random_game, make_game, parse_text
 from xorgames.merp import (
     MerpStrategy,
     analytic_merp_value,
@@ -53,14 +54,12 @@ def test_verify_all_zero_on_odd_clause():
 
 
 def test_observable_matrix_form():
-    import numpy as np
-
     theta = 0.37
     m = merp_observable(theta)
-    expected = np.array(
-        [[0, np.exp(2j * theta)], [np.exp(-2j * theta), 0]], dtype=complex
+    expected = ((0, cmath.exp(2j * theta)), (cmath.exp(-2j * theta), 0))
+    assert all(
+        abs(x - y) < 1e-14 for row, erow in zip(m, expected) for x, y in zip(row, erow)
     )
-    assert np.max(np.abs(m - expected)) < 1e-14
 
 
 def test_simulate_perfect_ghz():
@@ -105,11 +104,38 @@ def test_simulator_matches_analytic_formula():
         assert abs(sim.value - analytic_merp_value(game, strat)) <= 1e-9
 
 
-def test_simulation_player_cap():
-    game = generate_random_game(13, 1, 1, seed=0)
-    strat = MerpStrategy(((Fraction(0),),) * 13)
-    with pytest.raises(ValueError):
-        simulate_merp_value(game, strat)
+@pytest.mark.parametrize("players", [13, 40])
+def test_simulation_beyond_twelve_players(players):
+    # Plant a half-integer phase table and keep the question tuples whose
+    # phase sum is an integer, with that sum mod 2 as the parity.
+    rng = random.Random(players)
+    phi = [[Fraction(rng.randrange(4), 2) for _ in range(3)] for _ in range(players)]
+    rows = []
+    while len(rows) < 30:
+        questions = [rng.randrange(3) for _ in range(players)]
+        total = sum(phi[a][q] for a, q in enumerate(questions))
+        if total.denominator == 1:
+            rows.append(([q + 1 for q in questions], total.numerator % 2))
+    game = make_game(rows, alphabet=3)
+    strat = MerpStrategy(tuple(map(tuple, phi)))
+    result = simulate_merp_value(game, strat)
+    assert abs(result.value - 1) <= 1e-9 and result.exact_perfect
+    phi[0] = [x + Fraction(1, 3) for x in phi[0]]
+    shifted = MerpStrategy(tuple(map(tuple, phi)))
+    value = simulate_merp_value(game, shifted).value
+    assert value < 1 - 1e-3
+    assert abs(value - analytic_merp_value(game, shifted)) <= 1e-9
+
+
+def test_huge_phases_reduce_exactly():
+    # Adding 2 * 10**400 to a phase keeps the table perfect; a float of the
+    # unreduced phase would overflow.
+    strat = solve_merp(GHZ)
+    huge = MerpStrategy(
+        ((strat.phi[0][0] + 2 * 10**400, strat.phi[0][1]),) + strat.phi[1:]
+    )
+    assert abs(simulate_merp_value(GHZ, huge).value - 1) <= 1e-9
+    assert abs(analytic_merp_value(GHZ, huge) - 1) <= 1e-9
 
 
 def test_observables_respect_pair_commutation():
