@@ -16,6 +16,7 @@ verdict as inconclusive.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .games import Game
@@ -112,9 +113,14 @@ def check_obstruction(game: Game, z) -> bool:
     z = tuple(int(x) for x in z)
     if len(z) != game.num_clauses:
         return False
-    if incidence_matrix(game).transpose().mulvec(z) != (0,) * (
-        game.players * game.alphabet
-    ):
+    # Bᵀz one clause at a time: clause i adds z_i to each (player, question)
+    # slot it asks, and every slot must come to zero.
+    totals = defaultdict(int)
+    for zi, c in zip(z, game.clauses):
+        if zi:
+            for slot in enumerate(c.questions):
+                totals[slot] += zi
+    if any(totals.values()):
         return False
     return sum(zi * c.parity for zi, c in zip(z, game.clauses)) % 2 == 1
 

@@ -12,9 +12,9 @@ sequence of elementary operations is fixed, so U, D and V come out the same
 entry for entry. The speed comes from skipping work that cannot change
 anything: pivot scans stop at the first unit, all column operations of one
 pivot share a single pass over the rows, row operations touch only the
-nonzero entries of the pivot row, and products skip zero entries of their
-left operand (the 0/1 incidence matrices this package decomposes are
-sparse).
+nonzero entries of the pivot row, and products multiply only pairs of
+nonzero entries, skipping the zeros of both operands (the 0/1 incidence
+matrices this package decomposes are sparse, and so is A·V).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 from math import gcd
 
 
@@ -61,14 +61,19 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
+        n = other.cols
+        # Each row of the right operand is read once, as its nonzero column
+        # indices and values; only products of two nonzero entries are formed.
+        sparse = [
+            (tuple(compress(range(n), orow)), tuple(compress(orow, orow)))
+            for orow in other.data
+        ]
         out = []
         for row in self.data:
-            acc = [0] * other.cols
-            for a, orow in zip(row, other.data):
-                if a == 1:
-                    acc = list(map(operator.add, acc, orow))
-                elif a:
-                    acc = [x + a * y for x, y in zip(acc, orow)]
+            acc = [0] * n
+            for a, (ks, ys) in compress(zip(row, sparse), row):
+                for k, y in zip(ks, ys):
+                    acc[k] += a * y
             out.append(tuple(acc))
         return IntMatrix(tuple(out))
 
@@ -80,9 +85,6 @@ class IntMatrix:
             sum(map(operator.mul, compress(row, row), compress(v, row)))
             for row in self.data
         )
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.data)
 
 
 @dataclass(frozen=True)
@@ -217,7 +219,8 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
 def _check_decomposition(a: IntMatrix, dec: SmithDecomposition):
     # U·(A·V) is the same exact product as (U·A)·V; taking the sparse A
-    # first keeps the intermediate cheap. Every entry is still compared.
+    # first keeps the intermediate sparse too, and mul skips the zeros of
+    # both operands. Every entry of the product is still compared with D.
     prod = dec.u.mul(a.mul(dec.v))
     if prod != dec.d:
         raise AssertionError("Smith decomposition identity U*A*V == D failed")
@@ -248,11 +251,16 @@ def _primitive(vec):
     return tuple(vec)
 
 
+def _kernel_columns(dec: SmithDecomposition):
+    """Columns rank, rank+1, ... of V, which span the kernel, read in one
+    pass over the transpose of V."""
+    return islice(zip(*dec.v.data), dec.rank, None)
+
+
 def integer_kernel_basis(a: IntMatrix):
     """Basis of the lattice { z : a·z = 0 }, one vector per free column."""
     dec = smith_normal_form(a)
-    r = dec.rank
-    basis = [_primitive(dec.v.column(j)) for j in range(r, a.cols)]
+    basis = [_primitive(col) for col in _kernel_columns(dec)]
     # One product a·K with the basis vectors as the columns of K checks
     # a·v = 0 exactly for every vector at once.
     if basis and any(map(any, a.mul(IntMatrix(tuple(zip(*basis)))).data)):
@@ -275,22 +283,39 @@ class Mod2Outcome:
 
 def _zero_free_directions(phi, kernel):
     """Subtract rational multiples of kernel vectors so the solution is zero
-    on the kernel's echelon pivot coordinates; leaves b·phi untouched."""
+    on the kernel's leading coordinates; leaves b·phi untouched.
+
+    The kernel is brought to echelon form keyed by leading coordinate, each
+    row held as a {column: Fraction} dict of its nonzero entries. The set of
+    leading coordinates of a subspace does not depend on its basis, and phi
+    is the one solution that is zero on all of them, so the result does not
+    depend on the basis or the order of reduction either.
+    """
+    echelon = {}
+    for vec in kernel:
+        row = dict(zip(compress(range(len(vec)), vec), map(Fraction, compress(vec, vec))))
+        while row:
+            lead = min(row)
+            prev = echelon.get(lead)
+            if prev is None:
+                echelon[lead] = row
+                break
+            t = row[lead] / prev[lead]
+            for k, y in prev.items():
+                x = row.get(k, 0) - t * y
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
     phi = list(phi)
-    rows = [[Fraction(x) for x in vec] for vec in kernel]
-    pivots = []
-    for row in rows:
-        for prev_pivot, prev_row in pivots:
-            if row[prev_pivot]:
-                t = row[prev_pivot] / prev_row[prev_pivot]
-                row[:] = [x - t * y for x, y in zip(row, prev_row)]
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is not None:
-            pivots.append((lead, row))
-    for pivot, row in pivots:
-        if phi[pivot]:
-            t = phi[pivot] / row[pivot]
-            phi = [x - t * y for x, y in zip(phi, row)]
+    # Ascending leads: a row is zero before its lead, so clearing phi at one
+    # lead never disturbs the smaller leads already cleared.
+    for lead in sorted(echelon):
+        if phi[lead]:
+            row = echelon[lead]
+            t = phi[lead] / row[lead]
+            for k, y in row.items():
+                phi[k] -= t * y
     return phi
 
 
@@ -320,11 +345,10 @@ def solve_mod2_over_rationals(b: IntMatrix, s) -> Mod2Outcome:
     # entry divided by that denominator.
     diag = dec.diagonal
     denom = diag[r - 1] if r else 1
-    psi = [0] * b.cols
-    for i in range(r):
-        psi[i] = us[i] % (2 * diag[i]) * (denom // diag[i])
+    # psi is zero past the rank, so only the first r columns of V enter.
+    psi = [us[i] % (2 * diag[i]) * (denom // diag[i]) for i in range(r)]
     phi = [Fraction(sum(map(operator.mul, vrow, psi)), denom) for vrow in dec.v.data]
-    phi = _zero_free_directions(phi, [dec.v.column(j) for j in range(r, b.cols)])
+    phi = _zero_free_directions(phi, _kernel_columns(dec))
     phi = tuple(x % 2 for x in phi)
     for lhs, rhs in zip(b.mulvec(phi), s):
         diff = lhs - rhs

@@ -16,12 +16,25 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .decider import incidence_matrix
 from .games import Game
 from .intlinalg import solve_mod2_over_rationals
+
+
+# The string form to_dict writes: an optional sign, digits, optional /digits.
+_PHASE_STRING = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def _phase(entry) -> Fraction:
+    """Fraction() would also read exponent notation, so a short string such
+    as "2e30000000" could expand into an integer of any size."""
+    if isinstance(entry, str) and not _PHASE_STRING.fullmatch(entry):
+        raise ValueError(f"phase {entry!r} is not of the form p or p/q")
+    return Fraction(entry)
 
 
 @dataclass(frozen=True)
@@ -45,9 +58,7 @@ class MerpStrategy:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MerpStrategy":
-        return cls(
-            tuple(tuple(Fraction(entry) for entry in row) for row in obj["phi"])
-        )
+        return cls(tuple(tuple(_phase(entry) for entry in row) for row in obj["phi"]))
 
 
 @dataclass(frozen=True)

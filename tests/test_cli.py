@@ -378,6 +378,37 @@ def test_huge_even_phase_is_still_perfect(tmp_path, capsys, ghz_file, command):
     assert out.startswith("PASS\n" if command == "verify" else "value: 1.000000000000\n")
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize(
+    "phase,code",
+    [
+        ("2e30000000", 65),  # would expand into a 30-million-digit integer
+        ("0e5", 65),
+        ("0.0", 65),
+        (" 0/1", 65),
+        ("0/1 ", 65),
+        ("0/1\n", 65),
+        ("1_0", 65),
+        ("0x0", 65),
+        ("0/-1", 65),
+        ("", 65),
+        ("0/0", 65),
+        ("+0/1", 0),
+        ("-4/2", 0),
+        ("2", 0),
+    ],
+)
+def test_phase_strings_only_in_the_written_form(tmp_path, capsys, ghz_file, command, phase, code):
+    cert = tmp_path / "cert.json"
+    run(capsys, "decide", ghz_file, "--out", str(cert))
+    obj = json.loads(cert.read_text())
+    obj["phi"][0][obj["phi"][0].index("0/1")] = phase
+    got, out, err = _verify_with(tmp_path, capsys, command, GHZ_TEXT, obj)
+    assert got == code
+    if code:
+        assert err.startswith("error: bad phase table") and "Traceback" not in err
+
+
 def test_deeply_nested_json_is_malformed_input(tmp_path, capsys, ghz_file):
     nested = "[" * 100_000 + "]" * 100_000
     game = tmp_path / "game.json"

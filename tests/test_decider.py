@@ -136,3 +136,43 @@ def test_witness_postcondition_randomized():
         assert len(word) % 2 == 0
         assert abelianize_clause_word(game, word).is_sign()
     assert found >= 30
+
+
+def dense_check_obstruction(game, z):
+    """The witness predicate as the dense product Bᵀz plus the parity sum."""
+    if len(z) != game.num_clauses:
+        return False
+    if any(incidence_matrix(game).transpose().mulvec(z)):
+        return False
+    return sum(zi * c.parity for zi, c in zip(z, game.clauses)) % 2 == 1
+
+
+def test_check_obstruction_matches_dense_product():
+    rng = random.Random(97)
+    decided = 0
+    for _ in range(150):
+        game = generate_random_game(
+            rng.choice((2, 3, 4)), rng.randrange(1, 5), rng.randrange(1, 12),
+            seed=rng.randrange(10**6),
+        )
+        m = game.num_clauses
+        candidates = [(0,) * m, (0,) * (m + 1), (1,) * max(m - 1, 0)]
+        candidates.append(tuple(rng.randint(-3, 3) for _ in range(m)))
+        out = decide(game)
+        if out.member:
+            decided += 1
+            z = out.obstruction_z
+            candidates += [z, tuple(-x for x in z), tuple(3 * x for x in z), z + (0,)]
+            i = rng.randrange(m)
+            candidates.append(z[:i] + (z[i] + rng.choice((-1, 1)),) + z[i + 1:])
+        for z in candidates:
+            assert check_obstruction(game, z) == dense_check_obstruction(game, z), (game, z)
+    assert decided >= 20
+    # Two clauses that differ only in player a's question: z = (1, -1) is
+    # balanced for every other player, so each player's slots must be summed.
+    for players in (2, 3, 4):
+        for a in range(players):
+            other = ["1"] * players
+            other[a] = "2"
+            game = parse_text(f"{' '.join(['1'] * players)} 0\n{' '.join(other)} 1")
+            assert check_obstruction(game, (1, -1)) is dense_check_obstruction(game, (1, -1)) is False

@@ -344,3 +344,110 @@ def test_mod2_alternative_exclusivity():
 def test_mod2_dimension_mismatch():
     with pytest.raises(ValueError):
         solve_mod2_over_rationals(IntMatrix.from_rows([[1, 1]]), [1, 0])
+
+
+def naive_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    return IntMatrix(
+        tuple(
+            tuple(sum(a.data[i][k] * b.data[k][j] for k in range(a.cols)) for j in range(b.cols))
+            for i in range(a.rows)
+        )
+    )
+
+
+def sparse_random(rng, rows, cols, zero_frac, bits):
+    return IntMatrix.from_rows(
+        [
+            [0 if rng.random() < zero_frac else rng.choice((-1, 1)) * rng.getrandbits(bits)
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+    )
+
+
+@pytest.mark.parametrize("zero_frac,bits", [(0.0, 6), (0.5, 6), (0.92, 6), (0.97, 300), (0.3, 300)])
+def test_mul_matches_naive_product(zero_frac, bits):
+    rng = random.Random(int(zero_frac * 100) + bits)
+    for _ in range(25):
+        n, k, p = (rng.randrange(1, 14) for _ in range(3))
+        a = sparse_random(rng, n, k, zero_frac, bits)
+        b = sparse_random(rng, k, p, zero_frac, bits)
+        assert a.mul(b) == naive_product(a, b)
+
+
+def test_mul_with_zero_rows_columns_and_empty_shapes():
+    rng = random.Random(83)
+    a = sparse_random(rng, 5, 4, 0.3, 40)
+    b = sparse_random(rng, 4, 6, 0.3, 40)
+    zero_row = IntMatrix(a.data[:2] + ((0,) * 4,) + a.data[3:])
+    zero_col = IntMatrix(tuple(row[:2] + (0,) + row[3:] for row in b.data))
+    for x, y in ((zero_row, b), (a, zero_col), (IntMatrix.zeros(5, 4), b)):
+        assert x.mul(y) == naive_product(x, y)
+    n_by_0 = IntMatrix(((),) * 3)
+    assert n_by_0.mul(IntMatrix(())) == IntMatrix(((),) * 3)
+    assert a.mul(IntMatrix(((),) * 4)) == IntMatrix(((),) * 5)
+    assert IntMatrix(()).mul(IntMatrix(())) == IntMatrix(())
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        a.mul(a)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        IntMatrix(()).mul(b)
+
+
+def dense_zero_free_directions(phi, kernel):
+    """Reference: every kernel vector as a dense Fraction row, each reduced
+    against the earlier rows in order. The solver's output must not depend
+    on which reduction runs."""
+    phi = list(phi)
+    rows = [[Fraction(x) for x in vec] for vec in kernel]
+    pivots = []
+    for row in rows:
+        for prev_pivot, prev_row in pivots:
+            if row[prev_pivot]:
+                t = row[prev_pivot] / prev_row[prev_pivot]
+                row[:] = [x - t * y for x, y in zip(row, prev_row)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is not None:
+            pivots.append((lead, row))
+    for pivot, row in pivots:
+        if phi[pivot]:
+            t = phi[pivot] / row[pivot]
+            phi = [x - t * y for x, y in zip(phi, row)]
+    return phi
+
+
+def planted_incidence(rng, players, alphabet, num_clauses):
+    """Incidence matrix and parities of clauses drawn under a planted
+    half-integer phase table, so the solution may need denominator 2.
+    Question 0 has phase 0 for everyone, so some clause is always drawable."""
+    phi = [[Fraction(rng.randrange(4), 2) if q else Fraction(0) for q in range(alphabet)]
+           for _ in range(players)]
+    rows, parities = [], []
+    while len(rows) < num_clauses:
+        qs = [rng.randrange(alphabet) for _ in range(players)]
+        total = sum(phi[a][q] for a, q in enumerate(qs))
+        if total.denominator == 1:
+            row = [0] * (players * alphabet)
+            for a, q in enumerate(qs):
+                row[a * alphabet + q] = 1
+            rows.append(row)
+            parities.append(total.numerator % 2)
+    return IntMatrix.from_rows(rows), parities
+
+
+def test_mod2_solution_matches_dense_reduction(monkeypatch):
+    rng = random.Random(89)
+    cases = [planted_incidence(rng, rng.randrange(2, 5), rng.randrange(1, 7), rng.randrange(1, 15))
+             for _ in range(80)]
+    # One clause over a large alphabet: almost every column is a free direction.
+    cases += [planted_incidence(rng, 3, 60, 1), planted_incidence(rng, 2, 90, 2)]
+    cases += [(random_matrix(rng, max_dim=6, bound=3), None) for _ in range(60)]
+    half_integral = 0
+    for b, s in cases:
+        s = s if s is not None else [rng.randrange(2) for _ in range(b.rows)]
+        sparse = solve_mod2_over_rationals(b, s)
+        with monkeypatch.context() as m:
+            m.setattr(intlinalg, "_zero_free_directions", dense_zero_free_directions)
+            assert solve_mod2_over_rationals(b, s) == sparse
+        if sparse.solution and any(x.denominator != 1 for x in sparse.solution):
+            half_integral += 1
+    assert half_integral >= 10

@@ -138,6 +138,18 @@ def test_huge_phases_reduce_exactly():
     assert abs(analytic_merp_value(GHZ, huge) - 1) <= 1e-9
 
 
+@pytest.mark.parametrize("phase", ["1e3", "1.5", " 1/2", "1/2\n", "½", "١/٢", "inf", "nan"])
+def test_from_dict_reads_only_the_written_phase_form(phase):
+    with pytest.raises(ValueError, match="not of the form"):
+        MerpStrategy.from_dict({"phi": [["0/1", phase]]})
+
+
+def test_from_dict_round_trips_to_dict():
+    strat = MerpStrategy(((Fraction(3, 2), Fraction(-7, 3)), (Fraction(2 * 10**400), Fraction(0))))
+    assert MerpStrategy.from_dict(strat.to_dict()) == strat
+    assert MerpStrategy.from_dict({"phi": [["+6/4", 1]]}).phi == ((Fraction(3, 2), Fraction(1)),)
+
+
 def test_observables_respect_pair_commutation():
     assert observables_pairwise_commute((0.0, math.pi / 4, math.pi / 3, 1.0))
     assert observables_pairwise_commute((0.7, 0.7, 0.7, 0.7))
