@@ -212,10 +212,11 @@ def _check_certificate(game: Game, obj: dict) -> bool:
     elif kind == "refutation":
         z = _int_list(obj, "z")
         word = tuple(i - 1 for i in _int_list(obj, "sigma_word"))
-        if any(i < 0 or i >= game.num_clauses for i in word):
-            raise CliError("clause index out of range", EX_MISMATCH)
-        ok = check_obstruction(game, z)
-        ok = ok and reduce_clause_word(game, word) == GroupWord.sign(game.players)
+        try:
+            product = reduce_clause_word(game, word)
+        except IndexError:
+            raise CliError("clause index out of range", EX_MISMATCH) from None
+        ok = product == GroupWord.sign(game.players) and check_obstruction(game, z)
     elif kind == "obstruction":
         ok = check_obstruction(game, _int_list(obj, "z"))
     else:

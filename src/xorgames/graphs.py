@@ -108,9 +108,9 @@ class PairGraph:
     """Induced bipartite multigraph on two players with spanning-tree paths.
 
     One representative vertex is fixed per component, always on the `beta`
-    side (smallest question index there); every vertex stores the clause
-    sequence of its tree path to the representative. Paths from an
-    alpha-side vertex have odd clause count, from a beta-side vertex even.
+    side (smallest question index there); `paths` holds the clause sequence
+    of every vertex's tree path to it. Paths from an alpha-side vertex have
+    odd clause count, from a beta-side vertex even.
     """
 
     def __init__(self, game: Game, alpha: int, beta: int):
@@ -146,17 +146,17 @@ class PairGraph:
             if c not in self.representative and v[0] == beta:
                 self.representative[c] = v
 
-        # Parent pointers of BFS trees rooted at the representatives.
-        self._parent: dict[Vertex, tuple[Vertex, int]] = {}
+        # BFS trees rooted at the representatives: the path of w is the
+        # edge to its parent followed by the parent's path.
+        self.paths: dict[Vertex, tuple[int, ...]] = {}
         for rep in self.representative.values():
             queue = deque([rep])
-            seen = {rep}
+            self.paths[rep] = ()
             while queue:
                 v = queue.popleft()
                 for w, i in self._adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        self._parent[w] = (v, i)
+                    if w not in self.paths:
+                        self.paths[w] = (i,) + self.paths[v]
                         queue.append(w)
 
     def _flood(self, start: Vertex, comp: int):
@@ -185,13 +185,8 @@ class PairGraph:
         representative's letter on the other side, interior letters
         cancelling in adjacent pairs.
         """
-        rep = self.rep_of(v)
-        indices = []
-        cur = v
-        while cur != rep:
-            cur, i = self._parent[cur]
-            indices.append(i)
-        return tuple(indices)
+        self.rep_of(v)
+        return self.paths[v]
 
 
 def hyperedge_path(game: Game, start: Vertex, goal: Vertex) -> tuple[int, ...]:
@@ -210,18 +205,10 @@ def hyperedge_path(game: Game, start: Vertex, goal: Vertex) -> tuple[int, ...]:
     for i in sources:
         prev[i] = None
         queue.append(i)
-    adj: dict[int, list[int]] = {}
-    verts = [
-        [(a, q) for a, q in enumerate(game.clauses[i].questions)]
-        for i in range(game.num_clauses)
-    ]
     by_vertex: dict[Vertex, list[int]] = {}
-    for i, vs in enumerate(verts):
-        for v in vs:
+    for i, c in enumerate(game.clauses):
+        for v in enumerate(c.questions):
             by_vertex.setdefault(v, []).append(i)
-    for i in range(game.num_clauses):
-        nbrs = sorted({j for v in verts[i] for j in by_vertex[v] if j != i})
-        adj[i] = nbrs
     end = None
     for i in sources:
         if contains(i, goal):
@@ -229,7 +216,9 @@ def hyperedge_path(game: Game, start: Vertex, goal: Vertex) -> tuple[int, ...]:
             break
     while queue and end is None:
         i = queue.popleft()
-        for j in adj[i]:
+        # Neighbours are listed only for the clauses the search reaches.
+        for j in sorted({j for v in enumerate(game.clauses[i].questions)
+                         for j in by_vertex[v] if j != i}):
             if j not in prev:
                 prev[j] = i
                 if contains(j, goal):
@@ -252,14 +241,11 @@ def gadget_word(game: Game, pg: PairGraph, question: int) -> tuple[int, ...]:
     Walks the minimal hyperedge path from the question's pair-graph
     representative to the smallest question asked of player beta and keeps,
     as a clause word, the adjacent pairs that agree on the other player of
-    {1, 2}; minimality makes the kept pairs disjoint. Requires a connected
-    game.
+    {1, 2}; minimality makes the kept pairs disjoint. The game must be
+    connected, which `Homomorphisms` checks once per game.
     """
     if pg.alpha != 2 or pg.beta not in (0, 1):
         raise ValueError("gadgets pair player 3 with player 1 or 2")
-    hg = build_hypergraph(game)
-    if not hg.is_connected():
-        raise ValueError("gadget words need a connected clause hypergraph")
     beta = pg.beta
     other = 1 - beta
     rep = pg.rep_of((pg.alpha, question))
@@ -299,11 +285,7 @@ def pair_graph_dot(pg: PairGraph) -> str:
     spanning-tree edges highlighted."""
     game = pg.game
     reps = set(pg.representative.values())
-    tree_edges = set()
-    for v in pg.component_id:
-        if v in pg._parent:
-            w, i = pg._parent[v]
-            tree_edges.add(i)
+    tree_edges = {path[0] for path in pg.paths.values() if path}
     lines = ["graph pair {", "  node [shape=circle];"]
     for side in (pg.alpha, pg.beta):
         for q in range(game.alphabet):

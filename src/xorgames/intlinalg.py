@@ -130,11 +130,19 @@ def _nonzeros(row):
     return [(k, x) for k, x in enumerate(row) if x]
 
 
+def _identity_rows(n: int) -> list[list[int]]:
+    """The n×n identity as mutable rows: the starting U or V."""
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     rows, cols = a.rows, a.cols
     m = [list(row) for row in a.data]
-    u = [list(row) for row in IntMatrix.identity(rows).data]
-    v = [list(row) for row in IntMatrix.identity(cols).data]
+    u = _identity_rows(rows)
+    v = _identity_rows(cols)
 
     for t in range(min(rows, cols)):
         pivot = _find_pivot(m, t, rows, cols)

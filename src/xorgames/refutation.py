@@ -122,24 +122,26 @@ def decompose_pair_commutators(letters, budget: int | None = None) -> list[Commu
 
 
 def _alternate(images, letters) -> tuple[int, ...]:
-    """Extend a letter map to even words the way every right inverse here
-    does: the pair x.y maps to images(x) . images(y)^-1, and clause words
-    invert by reversal."""
+    """Extend a letter table to even words the way every right inverse here
+    does: the pair x.y maps to images[x] . images[y]^-1, and clause words
+    invert by reversal. A letter missing from the table raises KeyError."""
     if len(letters) % 2 != 0:
         raise ValueError("right inverses are defined on even words")
     out = []
     for t, q in enumerate(letters):
-        out += images(q)[::-1] if t % 2 else images(q)
+        out += images[q][::-1] if t % 2 else images[q]
     return tuple(out)
 
 
 class Homomorphisms:
-    """Right-inverse tables for one connected 3-player game.
+    """Right-inverse tables for one connected 3-player game, built once and
+    keyed by the questions the game asks.
 
-    simple[a][q] is the smallest clause asking q of player a. Pair tables
-    hold the spanning-tree path words of the three needed pair graphs, and
-    the letter table each gadget map's per-letter clause word (tree path,
-    then gadget word) with its player-3 residue.
+    simple[a][q] is the smallest clause asking q of player a.
+    paths[(alpha, beta)][q] is the spanning-tree path word of (alpha, q) in
+    the pair graph pair[(alpha, beta)]; gadget[beta][q] is the gadget map's
+    clause word for player-3 question q (tree path, then gadget word), and
+    residue[beta][q] its player-3 residue.
     """
 
     def __init__(self, game: Game):
@@ -155,12 +157,26 @@ class Homomorphisms:
             for a, q in enumerate(c.questions):
                 if self.simple[a][q] is None:
                     self.simple[a][q] = i
-        self.pair = {
-            (1, 0): PairGraph(game, 1, 0),
-            (2, 0): PairGraph(game, 2, 0),
-            (2, 1): PairGraph(game, 2, 1),
+        asked = [sorted({c.questions[a] for c in game.clauses}) for a in range(3)]
+        self.pair = {(a, b): PairGraph(game, a, b) for a, b in ((1, 0), (2, 0), (2, 1))}
+        self.paths = {
+            (a, b): {q: pg.path_word((a, q)) for q in asked[a]}
+            for (a, b), pg in self.pair.items()
         }
-        self._letters: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self.gadget = {
+            beta: {
+                q: self.paths[(2, beta)][q] + gadget_word(game, self.pair[(2, beta)], q)
+                for q in asked[2]
+            }
+            for beta in (0, 1)
+        }
+        self.residue = {
+            beta: {
+                q: reduce_letters(game.clauses[i].questions[2] for i in word)
+                for q, word in table.items()
+            }
+            for beta, table in self.gadget.items()
+        }
 
     def phi_simple(self, player: int, letters) -> tuple[int, ...]:
         indices = []
@@ -171,36 +187,22 @@ class Homomorphisms:
             indices.append(i)
         return tuple(indices)
 
-    def tree_path(self, alpha: int, beta: int, letter: int) -> tuple[int, ...]:
-        return self.pair[(alpha, beta)].path_word((alpha, letter))
-
     def phi_pair(self, alpha: int, beta: int, letters) -> tuple[int, ...]:
         """Right inverse of the alpha projection that kills the image in
         beta whenever some clause product does: path out, inverse path back."""
-        return _alternate(lambda q: self.tree_path(alpha, beta, q), letters)
-
-    def _letter(self, beta: int, question: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """One letter's gadget-map clause word and its player-3 residue,
-        computed on first use."""
-        key = (beta, question)
-        if key not in self._letters:
-            word = self.tree_path(2, beta, question) + gadget_word(
-                self.game, self.pair[(2, beta)], question
-            )
-            self._letters[key] = (word, reduce_clause_word(self.game, word).per_player[2])
-        return self._letters[key]
+        return _alternate(self.paths[(alpha, beta)], letters)
 
     def f_map(self, beta: int, letters) -> tuple[int, ...]:
         """Gadget-upgraded pair right inverse of the player-3 projection."""
-        return _alternate(lambda q: self._letter(beta, q)[0], letters)
+        return _alternate(self.gadget[beta], letters)
 
     def compose_f(self, letters) -> tuple[int, ...]:
         """Player-3 residue of both gadget maps in sequence. Every clause
         asks player 3 exactly one question, so the residue of an f_map word
         is the alternating product of its letters' residues; each of those
         has odd length, so the intermediate word stays even."""
-        y = reduce_letters(_alternate(lambda q: self._letter(0, q)[1], letters))
-        return reduce_letters(_alternate(lambda q: self._letter(1, q)[1], y))
+        y = reduce_letters(_alternate(self.residue[0], letters))
+        return reduce_letters(_alternate(self.residue[1], y))
 
     def preprocess(self, w: tuple[int, ...]) -> tuple[tuple[int, ...], GroupWord]:
         """Clear players 1 and 2 exactly, preserving the abelian image.

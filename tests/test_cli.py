@@ -298,6 +298,17 @@ def test_verify_rejects_non_integer_entries(tmp_path, capsys, case):
     assert err.startswith("error: bad certificate") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("z", [[1, -1], [1, 1]], ids=["good_z", "bad_z"])
+@pytest.mark.parametrize("index", [0, 3], ids=["zero", "past_end"])
+def test_verify_refutation_index_out_of_range(tmp_path, capsys, z, index):
+    # The pair game has two clauses; an index outside 1..2 is a mismatch
+    # with the game whether or not z is a valid witness.
+    cert = {"type": "refutation", "z": z, "sigma_word": [1, index, 2]}
+    code, out, err = _verify_with(tmp_path, capsys, "verify", PAIR_TEXT, cert)
+    assert code == 66 and out == ""
+    assert err == "error: clause index out of range\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 @pytest.mark.parametrize(
     "phi,code",

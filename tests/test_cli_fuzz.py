@@ -1,16 +1,21 @@
 """Fuzzing the command line with tiny games and certificates, well formed or
-not: every run ends in a documented exit code without a traceback, and
-every certificate `decide` writes passes `verify`.
+not: every run ends in a documented exit code without a traceback, every
+certificate `decide` writes passes `verify`, and every damaged certificate
+`verify` passes is also accepted by the benchmark's independent checker
+(bench/checker.py).
 
 Inputs stay tiny on purpose: question indices are single tokens below 8, so
 no generated game asks for a large alphabet.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +25,19 @@ from hypothesis import strategies as st  # noqa: E402
 
 from xorgames.cli import main  # noqa: E402
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_checker():
+    """bench/checker.py by path; it imports `workloads` from its own directory."""
+    sys.path.insert(0, str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_checker", BENCH / "checker.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+checker = _load_checker()
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 VERDICTS = {0, 1, 2}
 INPUT_ERRORS = {64, 65, 66}
@@ -144,5 +162,26 @@ def test_verify_and_simulate_exit_cleanly_on_corrupted_certificates(data, game):
         code, out, err = run("verify", path, cert_path)
         assert code in {0, 1, 65, 66}
         assert out == {0: "PASS\n", 1: "FAIL\n"}.get(code, "")
+        if code == 0:
+            assert _checker_verdict(game, damaged) is None
         code, _, _ = run("simulate", path, cert_path)
         assert code in {0, 65, 66}
+
+
+def _checker_verdict(game, cert: dict):
+    """What bench/checker.py says of a certificate that `verify` passed,
+    taking the verdict and the classical claim from the certificate itself.
+    `verify` checks only the header keys present and reads a missing
+    `classically_perfect` as no claim, so those are filled in first."""
+    players, alphabet, clauses = game
+    exit_code = {kind: code for code, kind in checker.CERT_TYPE.items()}[cert["type"]]
+    classical = cert.get("classically_perfect", False)
+    header = {"players": players, "alphabet": alphabet, "num_clauses": len(clauses)}
+    if exit_code == checker.PERFECT:
+        header["classically_perfect"] = classical
+    bench_game = checker.BenchGame(
+        name="fuzzed", players=players, alphabet=alphabet,
+        clauses=tuple((tuple(q - 1 for q in qs), s) for qs, s in clauses),
+        allowed_exits=frozenset({exit_code}), classical=classical,
+    )
+    return checker.check(bench_game, exit_code, json.dumps(dict(header, **cert)).encode())

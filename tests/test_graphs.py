@@ -12,6 +12,7 @@ from xorgames.graphs import (
     hypergraph_dot,
     pair_graph_dot,
 )
+from xorgames.refutation import Homomorphisms
 from xorgames.words import GroupWord, project_player, reduce_clause_word, word_from_letters
 
 # 11-clause alphabet-6 sample: one connected hypergraph whose induced
@@ -248,6 +249,107 @@ def test_hyperedge_path_minimality_no_triple_overlap():
                     assert not (va & vc)
 
 
+def reference_hyperedge_path(game, start, goal):
+    """The search with every clause's sorted neighbour list built up front:
+    the tables it must agree with, path for path."""
+    if start == goal:
+        return ()
+    by_vertex = {}
+    for i, c in enumerate(game.clauses):
+        for v in enumerate(c.questions):
+            by_vertex.setdefault(v, []).append(i)
+    adj = {
+        i: sorted({j for v in enumerate(c.questions) for j in by_vertex[v] if j != i})
+        for i, c in enumerate(game.clauses)
+    }
+    sources = [i for i in range(game.num_clauses) if game.clauses[i].questions[start[0]] == start[1]]
+    prev = {i: None for i in sources}
+    queue = list(sources)
+    end = next((i for i in sources if game.clauses[i].questions[goal[0]] == goal[1]), None)
+    while queue and end is None:
+        i = queue.pop(0)
+        for j in adj[i]:
+            if j not in prev:
+                prev[j] = i
+                if game.clauses[j].questions[goal[0]] == goal[1]:
+                    end = j
+                    break
+                queue.append(j)
+    path = []
+    while end is not None:
+        path.append(end)
+        end = prev[end]
+    return tuple(reversed(path))
+
+
+def test_hyperedge_path_matches_prebuilt_adjacency():
+    from xorgames.games import generate_random_game
+
+    rng = random.Random(401)
+    games = pairs = 0
+    while games < 100:
+        game = generate_random_game(3, rng.randrange(2, 6), rng.randrange(3, 16),
+                                    seed=rng.randrange(10**6))
+        if not build_hypergraph(game).is_connected():
+            continue
+        games += 1
+        asked = sorted({v for c in game.clauses for v in enumerate(c.questions)})
+        for _ in range(4):
+            start, goal = rng.choice(asked), rng.choice(asked)
+            assert hyperedge_path(game, start, goal) == reference_hyperedge_path(game, start, goal)
+            pairs += start != goal
+    assert pairs >= 300
+
+
+def reference_path_words(game, pg):
+    """Tree paths by walking BFS parent pointers from each vertex up to its
+    representative, with the graph rebuilt here from the clauses."""
+    adj = {}
+    for i, c in enumerate(game.clauses):
+        va, vb = (pg.alpha, c.questions[pg.alpha]), (pg.beta, c.questions[pg.beta])
+        adj.setdefault(va, []).append((vb, i))
+        adj.setdefault(vb, []).append((va, i))
+    parent = {}
+    for rep in pg.representative.values():
+        queue, seen = [rep], {rep}
+        while queue:
+            v = queue.pop(0)
+            for w, i in sorted(adj.get(v, []), key=lambda e: (e[0][1], e[1])):
+                if w not in seen:
+                    seen.add(w)
+                    parent[w] = (v, i)
+                    queue.append(w)
+    words = {}
+    for v in parent:
+        word, cur = [], v
+        while cur not in pg.representative.values():
+            cur, i = parent[cur]
+            word.append(i)
+        words[v] = tuple(word)
+    return words
+
+
+def test_path_word_matches_parent_walk():
+    from xorgames.games import generate_random_game
+
+    rng = random.Random(409)
+    checked = 0
+    for _ in range(60):
+        game = generate_random_game(3, rng.randrange(2, 6), rng.randrange(2, 14),
+                                    seed=rng.randrange(10**6))
+        for alpha, beta in ((1, 0), (2, 0), (2, 1), (0, 2)):
+            pg = PairGraph(game, alpha, beta)
+            expected = reference_path_words(game, pg)
+            for v in pg.component_id:
+                try:
+                    rep = pg.rep_of(v)
+                except KeyError:
+                    continue
+                assert pg.path_word(v) == expected.get(v, ())
+                checked += v != rep
+    assert checked >= 500
+
+
 def test_gadget_word_walkthrough():
     # Gadget for question 5 of player 3 against beta = player 2. The
     # representative of x5^(3) is x5^(2), the path target is x1^(2), the
@@ -280,10 +382,11 @@ def test_gadget_kept_pairs_cancel_on_other_player():
 
 
 def test_gadget_requires_connected_game():
+    # gadget_word takes connectivity as a precondition; the right-inverse
+    # tables that call it check it once per game.
     game = parse_text("1 1 1 0\n2 2 2 0")
-    pg = PairGraph(game, 2, 0)
     with pytest.raises(ValueError):
-        gadget_word(game, pg, 0)
+        Homomorphisms(game)
 
 
 def test_dot_exports():

@@ -349,6 +349,26 @@ def test_gadget_map_rejects_unasked_questions_every_time():
     assert hom.compose_f((0, 0)) == ()
 
 
+def test_refutation_builds_the_hypergraph_once(monkeypatch):
+    import xorgames.graphs
+    import xorgames.refutation
+
+    calls = []
+    original = xorgames.graphs.build_hypergraph
+
+    def counting(game):
+        calls.append(game)
+        return original(game)
+
+    for module in (xorgames.graphs, xorgames.refutation):
+        monkeypatch.setattr(module, "build_hypergraph", counting)
+    rng = random.Random(211)
+    for game in connected_games(rng, 5, alphabet=5, max_clauses=15, member=True):
+        calls.clear()
+        construct_sigma_word(game, decide(game).obstruction_z)
+        assert calls == [game]
+
+
 # --- commutator decomposition -------------------------------------------
 
 
