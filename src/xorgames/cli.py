@@ -24,7 +24,7 @@ from .games import Game, GameFormatError, generate_random_game, parse_game, seri
 from .graphs import PairGraph, decompose_components, hypergraph_dot, pair_graph_dot
 from .merp import MerpStrategy
 from .oracle import SearchStatus
-from .refutation import PipelineError, refute
+from .refutation import DEFAULT_CAP, PipelineError, refute
 from .words import GroupWord, canon_letters, reduce_clause_word
 
 EX_USAGE = 64
@@ -204,11 +204,11 @@ def _check_certificate(game: Game, obj: dict) -> bool:
         classical = obj.get("classically_perfect", False)
         if type(classical) is not bool:
             raise CliError("bad certificate: 'classically_perfect' must be a boolean", EX_DATA)
-        ok = merp.verify_merp_symbolic(game, strategy)
+        simulated = merp.simulate_merp_value(game, strategy)
+        ok = simulated.exact_perfect and abs(simulated.value - 1) <= 1e-9
         if ok and classical:
             # Only integral phases are a deterministic classical strategy.
             ok = all(x.denominator == 1 for row in strategy.phi for x in row)
-        ok = ok and abs(merp.simulate_merp_value(game, strategy).value - 1) <= 1e-9
     elif kind == "refutation":
         z = _int_list(obj, "z")
         word = tuple(i - 1 for i in _int_list(obj, "sigma_word"))
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the brute-force sign search to depth N as a cross-check",
     )
     p.add_argument(
-        "--cap", type=_at_least(1), default=10**6, metavar="N",
+        "--cap", type=_at_least(1), default=DEFAULT_CAP, metavar="N",
         help="abort refutation construction beyond N clause letters",
     )
     p.set_defaults(func=cmd_decide)

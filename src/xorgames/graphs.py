@@ -39,29 +39,32 @@ class ClauseHypergraph:
         return len(comps) == 1
 
 
+def _components(vertices, edges) -> tuple[dict[Vertex, int], int]:
+    """Union-find labelling of the vertices joined by the edges, each an
+    iterable of vertices; components are numbered by their smallest vertex."""
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]  # path halving
+            v = parent[v]
+        return v
+
+    for first, *rest in edges:
+        root = find(first)
+        for v in rest:
+            parent[find(v)] = root
+    number: dict[Vertex, int] = {}
+    component_id = {v: number.setdefault(find(v), len(number)) for v in sorted(parent)}
+    return component_id, len(number)
+
+
 def build_hypergraph(game: Game) -> ClauseHypergraph:
-    adj: dict[Vertex, set[Vertex]] = {v: set() for v in (
-        (a, q) for a in range(game.players) for q in range(game.alphabet)
-    )}
-    for c in game.clauses:
-        verts = [(a, q) for a, q in enumerate(c.questions)]
-        for v in verts:
-            adj[v].update(w for w in verts if w != v)
-    component_id: dict[Vertex, int] = {}
-    comp = 0
-    for start in sorted(adj):
-        if start in component_id:
-            continue
-        queue = deque([start])
-        component_id[start] = comp
-        while queue:
-            v = queue.popleft()
-            for w in sorted(adj[v]):
-                if w not in component_id:
-                    component_id[w] = comp
-                    queue.append(w)
-        comp += 1
-    return ClauseHypergraph(game=game, component_id=component_id, num_components=comp)
+    component_id, num_components = _components(
+        ((a, q) for a in range(game.players) for q in range(game.alphabet)),
+        (enumerate(c.questions) for c in game.clauses),
+    )
+    return ClauseHypergraph(game=game, component_id=component_id, num_components=num_components)
 
 
 @dataclass(frozen=True)
@@ -119,33 +122,22 @@ class PairGraph:
         self.game = game
         self.alpha = alpha
         self.beta = beta
-        adj: dict[Vertex, list[tuple[Vertex, int]]] = {}
-        for q in range(game.alphabet):
-            adj[(alpha, q)] = []
-            adj[(beta, q)] = []
-        for i, c in enumerate(game.clauses):
-            va = (alpha, c.questions[alpha])
-            vb = (beta, c.questions[beta])
-            adj[va].append((vb, i))
-            adj[vb].append((va, i))
-        for v in adj:
-            adj[v].sort(key=lambda e: (e[0][1], e[1]))
-        self._adj = adj
-
-        self.component_id: dict[Vertex, int] = {}
-        comp = 0
-        for start in sorted(adj):
-            if start not in self.component_id:
-                self._flood(start, comp)
-                comp += 1
-        self.num_components = comp
+        vertices = [(side, q) for side in (alpha, beta) for q in range(game.alphabet)]
+        edges = [((alpha, c.questions[alpha]), (beta, c.questions[beta])) for c in game.clauses]
+        self.component_id, self.num_components = _components(vertices, edges)
 
         self.representative: dict[int, Vertex] = {}
-        for v in sorted(adj):
+        for v in sorted(vertices):
             c = self.component_id[v]
             if c not in self.representative and v[0] == beta:
                 self.representative[c] = v
 
+        adj: dict[Vertex, list[tuple[Vertex, int]]] = {v: [] for v in vertices}
+        for i, (va, vb) in enumerate(edges):
+            adj[va].append((vb, i))
+            adj[vb].append((va, i))
+        for v in adj:
+            adj[v].sort(key=lambda e: (e[0][1], e[1]))
         # BFS trees rooted at the representatives: the path of w is the
         # edge to its parent followed by the parent's path.
         self.paths: dict[Vertex, tuple[int, ...]] = {}
@@ -154,20 +146,10 @@ class PairGraph:
             self.paths[rep] = ()
             while queue:
                 v = queue.popleft()
-                for w, i in self._adj[v]:
+                for w, i in adj[v]:
                     if w not in self.paths:
                         self.paths[w] = (i,) + self.paths[v]
                         queue.append(w)
-
-    def _flood(self, start: Vertex, comp: int):
-        queue = deque([start])
-        self.component_id[start] = comp
-        while queue:
-            v = queue.popleft()
-            for w, _ in self._adj[v]:
-                if w not in self.component_id:
-                    self.component_id[w] = comp
-                    queue.append(w)
 
     def rep_of(self, v: Vertex) -> Vertex:
         """Component representative (beta side) of an alpha- or beta-vertex."""
@@ -199,16 +181,13 @@ def hyperedge_path(game: Game, start: Vertex, goal: Vertex) -> tuple[int, ...]:
     def contains(i, v):
         return game.clauses[i].questions[v[0]] == v[1]
 
-    sources = [i for i in range(game.num_clauses) if contains(i, start)]
-    prev: dict[int, int | None] = {}
-    queue = deque()
-    for i in sources:
-        prev[i] = None
-        queue.append(i)
     by_vertex: dict[Vertex, list[int]] = {}
     for i, c in enumerate(game.clauses):
         for v in enumerate(c.questions):
             by_vertex.setdefault(v, []).append(i)
+    sources = by_vertex.get(start, [])
+    prev: dict[int, int | None] = dict.fromkeys(sources)
+    queue = deque(sources)
     end = None
     for i in sources:
         if contains(i, goal):

@@ -28,6 +28,9 @@ from .words import (
     GroupWord, commutator, inverse, is_parity_trivial, multiply, reduce_clause_word, reduce_letters,
 )
 
+# Clause-word length beyond which construction aborts.
+DEFAULT_CAP = 10**6
+
 
 class PipelineError(RuntimeError):
     """An exact intermediate identity failed; indicates a bug, not bad input."""
@@ -222,7 +225,7 @@ class Homomorphisms:
 
 
 def construct_sigma_word(
-    game: Game, z, cap: int = 10**6
+    game: Game, z, cap: int = DEFAULT_CAP
 ) -> RefutationCertificate:
     """Run the full pipeline on a connected 3-player game with witness z."""
     hom = Homomorphisms(game)
@@ -275,7 +278,7 @@ def construct_sigma_word(
     return RefutationCertificate(z=tuple(int(x) for x in z), sigma_word=final)
 
 
-def refute(game: Game, cap: int = 10**6) -> RefutationCertificate:
+def refute(game: Game, cap: int = DEFAULT_CAP) -> RefutationCertificate:
     """Locate a refutable component, run the pipeline there, and map the
     certificate back to the original clause indices."""
     if game.players != 3:

@@ -104,22 +104,20 @@ def commutator(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def reduce_clause_word(game: Game, cw: tuple[int, ...]) -> GroupWord:
-    """Multiply the referenced clauses out to a normal form."""
-    seqs = [[] for _ in range(game.players)]
-    sigma = 0
-    num_clauses = game.num_clauses
-    for i in cw:
-        if not 0 <= i < num_clauses:
-            raise IndexError(f"clause index {i} out of range")
-        c = game.clauses[i]
-        for a, q in enumerate(c.questions):
-            seq = seqs[a]
-            if seq and seq[-1] == q:
-                seq.pop()
-            else:
-                seq.append(q)
-        sigma ^= c.parity
-    return GroupWord(tuple(tuple(s) for s in seqs), sigma)
+    """Multiply the referenced clauses out to a normal form: each player's
+    column of questions streams through one free reduction, and the sign is
+    the parity of the clause parities."""
+    if cw:
+        low, high = min(cw), max(cw)
+        if low < 0 or high >= game.num_clauses:
+            raise IndexError(f"clause index {low if low < 0 else high} out of range")
+    clauses = game.clauses
+    columns = [tuple(c.questions[a] for c in clauses) for a in range(game.players)]
+    parities = tuple(c.parity for c in clauses)
+    return GroupWord(
+        tuple(reduce_letters(map(column.__getitem__, cw)) for column in columns),
+        sum(map(parities.__getitem__, cw)),
+    )
 
 
 def render(w: GroupWord) -> str:

@@ -389,6 +389,19 @@ def test_huge_even_phase_is_still_perfect(tmp_path, capsys, ghz_file, command):
     assert out.startswith("PASS\n" if command == "verify" else "value: 1.000000000000\n")
 
 
+
+def test_verify_rejects_a_phase_the_float_simulation_cannot_see(tmp_path, capsys, ghz_file):
+    # Off by 1e-12, the simulated value is 1 within its float tolerance;
+    # only the exact clause check in the same simulation rejects it.
+    cert = tmp_path / "cert.json"
+    run(capsys, "decide", ghz_file, "--out", str(cert))
+    obj = json.loads(cert.read_text())
+    obj["phi"][0][obj["phi"][0].index("0/1")] = "1/1000000000000"
+    code, out, _ = _verify_with(tmp_path, capsys, "simulate", GHZ_TEXT, obj)
+    assert code == 0 and out == "value: 1.000000000000\nexact_perfect: no\n"
+    assert _verify_with(tmp_path, capsys, "verify", GHZ_TEXT, obj)[:2] == (1, "FAIL\n")
+
+
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 @pytest.mark.parametrize(
     "phase,code",
@@ -534,6 +547,30 @@ def test_refutation_cap_abort_golden(tmp_path, capsys):
         " clause word length 1000208 exceeds cap 1000000\n"
     )
     assert not cert.exists()
+
+
+
+# sha256 of `export-graph` stdout for `gen -k 3 -n 12 -m 60 --seed 1`: the
+# hypergraph (pair None) and every ordered player pair, recorded while the
+# component labelling was a breadth-first flood.
+GOLDEN_GRAPHS = {
+    None: "0281ac89bf9c7c7f76e1084afc9c15d1056d28f29727cfccde59b9db4a4cb785",
+    "1,2": "5103d56ffb421d07d71405928bddc3d5085482f5e4b1dbdf161eaa1ea2c4bc73",
+    "1,3": "0989bed9c998f337690e598da10f8f20a503e5490a6696045e8693e69e2e6e99",
+    "2,1": "7c887dff7bf14a98bcfb7a45a20e54ec699086f5c3267f78ad912f32215a476f",
+    "2,3": "0d61ddcfb39542b97a5c0a8ce88115a5b0d6c493c4f1c4df4183d3b8c7e521f9",
+    "3,1": "519e313c64c0fd075a618806b9438480974dd77376444b18a40295ad18949d8f",
+    "3,2": "c879176291c89ea8982c8e5d45f7af5966b7b8cd6f82908a0550e08f0fb6a0cf",
+}
+
+
+@pytest.mark.parametrize("pair", list(GOLDEN_GRAPHS))
+def test_export_graph_golden(tmp_path, capsys, pair):
+    game = tmp_path / "r.txt"
+    run(capsys, "gen", "-k", "3", "-n", "12", "-m", "60", "--seed", "1", "--out", str(game))
+    code, out, err = run(capsys, "export-graph", str(game), *(["--pair", pair] if pair else []))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_GRAPHS[pair]
 
 
 def test_gen_json_format(capsys):

@@ -160,6 +160,54 @@ def test_decompose_matches_networkx_components():
     assert split >= 20
 
 
+
+def networkx_labels(nx, vertices, edges):
+    """Component ids numbered by smallest vertex, as networkx finds them."""
+    graph = nx.Graph()
+    graph.add_nodes_from(vertices)
+    for edge in edges:
+        graph.add_edges_from(zip(edge, edge[1:]))
+    comps = sorted(sorted(comp) for comp in nx.connected_components(graph))
+    return {v: n for n, comp in enumerate(comps) for v in comp}, comps
+
+
+def test_component_labels_match_networkx():
+    nx = pytest.importorskip("networkx")
+    from xorgames.games import generate_random_game
+
+    rng = random.Random(311)
+    for _ in range(100):
+        k = rng.randrange(2, 6)
+        game = generate_random_game(
+            k, rng.randrange(2, 7), rng.randrange(1, 9), rng.randrange(10**6)
+        )
+        vertices = [(a, q) for a in range(k) for q in range(game.alphabet)]
+        edges = [tuple(enumerate(c.questions)) for c in game.clauses]
+        expected, comps = networkx_labels(nx, vertices, edges)
+        hg = build_hypergraph(game)
+        assert hg.component_id == expected  # never-asked vertices included
+        assert hg.num_components == len(comps)
+        if k != 3:
+            continue
+        for alpha in range(3):
+            for beta in range(3):
+                if alpha == beta:
+                    continue
+                pg = PairGraph(game, alpha, beta)
+                expected, comps = networkx_labels(
+                    nx,
+                    [(side, q) for side in (alpha, beta) for q in range(game.alphabet)],
+                    [((alpha, c.questions[alpha]), (beta, c.questions[beta]))
+                     for c in game.clauses],
+                )
+                assert pg.component_id == expected
+                assert pg.num_components == len(comps)
+                assert pg.representative == {
+                    n: min(v for v in comp if v[0] == beta)
+                    for n, comp in enumerate(comps) if any(v[0] == beta for v in comp)
+                }
+
+
 def test_two_disjoint_clauses_make_two_components():
     game = parse_text("1 1 1 0\n2 2 2 0")
     hg = build_hypergraph(game)

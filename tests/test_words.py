@@ -122,6 +122,45 @@ def test_reduce_clause_word():
         reduce_clause_word(GHZ, (0, -1))
 
 
+
+def reference_reduce_clause_word(game, cw):
+    """The per-clause stack that reduced clause words before they streamed
+    through reduce_letters: one push or pop per player per clause."""
+    seqs = [[] for _ in range(game.players)]
+    sigma = 0
+    for i in cw:
+        if not 0 <= i < game.num_clauses:
+            raise IndexError(f"clause index {i} out of range")
+        c = game.clauses[i]
+        for a, q in enumerate(c.questions):
+            seq = seqs[a]
+            if seq and seq[-1] == q:
+                seq.pop()
+            else:
+                seq.append(q)
+        sigma ^= c.parity
+    return GroupWord(tuple(tuple(s) for s in seqs), sigma)
+
+
+def test_reduce_clause_word_matches_per_clause_stack():
+    rng = random.Random(409)
+    for _ in range(60):
+        game = generate_random_game(
+            rng.randrange(2, 6), rng.randrange(1, 4), rng.randrange(1, 9), rng.randrange(10**6)
+        )
+        cw = tuple(rng.randrange(game.num_clauses) for _ in range(rng.randrange(2001)))
+        assert reduce_clause_word(game, cw) == reference_reduce_clause_word(game, cw)
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+@pytest.mark.parametrize("where", [0, 3, 6])
+def test_reduce_clause_word_rejects_out_of_range_anywhere(bad, where):
+    cw = list((0, 1, 2, 3, 2, 1))
+    cw.insert(where, bad)
+    with pytest.raises(IndexError):
+        reduce_clause_word(GHZ, tuple(cw))
+
+
 def test_normal_forms_multiply_to_the_normal_form_of_the_concatenation():
     # Normal forms are unique, so a word grown piece by piece can carry its
     # normal form instead of reducing the whole word again.
