@@ -40,7 +40,6 @@ from .merp import (
     MerpStrategy,
     StrategyValue,
     analytic_merp_value,
-    observables_pairwise_commute,
     simulate_merp_value,
     solve_merp,
     verify_merp_symbolic,
@@ -51,7 +50,6 @@ from .oracle import (
     SigmaSearchResult,
     bounded_sigma_search,
     classical_value,
-    gf2_satisfiable,
 )
 from .refutation import (
     Homomorphisms,
@@ -65,17 +63,12 @@ from .refutation import (
 from .words import (
     GroupWord,
     canon_letters,
-    canon_word,
     clause_to_word,
     commutator,
     inverse,
     is_parity_trivial,
     multiply,
-    project_player,
-    project_sigma,
     reduce_clause_word,
-    render,
-    word_from_letters,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

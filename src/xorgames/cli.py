@@ -23,7 +23,6 @@ from .decider import check_obstruction, decide
 from .games import Game, GameFormatError, generate_random_game, parse_game, serialize_json, serialize_text
 from .graphs import PairGraph, decompose_components, hypergraph_dot, pair_graph_dot
 from .merp import MerpStrategy
-from .oracle import SearchStatus
 from .refutation import DEFAULT_CAP, PipelineError, refute
 from .words import GroupWord, canon_letters, reduce_clause_word
 
@@ -87,15 +86,8 @@ def cmd_decide(args) -> int:
             f"  component {idx}: clauses={comp.game.num_clauses}"
             f" refutable={'yes' if outcome.member else 'no'}"
         )
-    member = any(o.member for o in outcomes)
 
-    if args.max_len:
-        search = oracle.bounded_sigma_search(game, args.max_len)
-        print(f"search: {search.status.value}")
-        if search.status == SearchStatus.FOUND and not member:
-            raise CliError("bounded search contradicts the decider", EX_INTERNAL)
-
-    if not member:
+    if not any(o.member for o in outcomes):
         strategy = merp.solve_merp(game)
         if strategy is None:
             raise CliError("decider and phase solver disagree", EX_INTERNAL)
@@ -119,7 +111,9 @@ def cmd_decide(args) -> int:
         )
         verdict, code = "NOT_PERFECT", 1
     else:
-        cert = dict(type="obstruction", z=list(_embed_component_z(game, components, outcomes)))
+        comp, outcome = next((c, o) for c, o in zip(components, outcomes) if o.member)
+        z, _ = comp.lift(game.num_clauses, outcome.obstruction_z)
+        cert = dict(type="obstruction", z=list(z))
         verdict, code = "NO_PERFECT_MERP_INCONCLUSIVE", 2
 
     # Re-check exactly what gets written, with the checks `verify` runs.
@@ -141,16 +135,6 @@ def _integral_strategy(game: Game, bits) -> MerpStrategy:
         for a in range(game.players)
     )
     return MerpStrategy(phi)
-
-
-def _embed_component_z(game, components, outcomes):
-    z = [0] * game.num_clauses
-    for comp, outcome in zip(components, outcomes):
-        if outcome.member:
-            for j, zj in enumerate(outcome.obstruction_z):
-                z[comp.clause_map[j]] = zj
-            return tuple(z)
-    raise AssertionError("no refutable component")
 
 
 def _load_certificate(path: str) -> dict:
@@ -326,10 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_game_arg(p)
     p.add_argument("--out", default="certificate.json", help="certificate path")
     p.add_argument(
-        "--max-len", type=_at_least(0), default=0, metavar="N",
-        help="also run the brute-force sign search to depth N as a cross-check",
-    )
-    p.add_argument(
         "--cap", type=_at_least(1), default=DEFAULT_CAP, metavar="N",
         help="abort refutation construction beyond N clause letters",
     )
@@ -355,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-graph", help="DOT export of the clause graphs")
     p.add_argument("game", help="game file, or '-' for stdin")
-    p.add_argument("--format", choices=["dot"], default="dot", help="output format")
     p.add_argument("--pair", help="induced pair graph, e.g. '2,3' (default: hypergraph)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(func=cmd_export_graph)

@@ -35,11 +35,6 @@ class AbelianVector:
     per_player: tuple[tuple[int, ...], ...]
     sigma: int
 
-    def is_zero(self) -> bool:
-        return self.sigma == 0 and all(
-            all(x == 0 for x in vec) for vec in self.per_player
-        )
-
     def is_sign(self) -> bool:
         return self.sigma == 1 and all(
             all(x == 0 for x in vec) for vec in self.per_player

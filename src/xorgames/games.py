@@ -78,12 +78,12 @@ def make_game(rows, alphabet=None) -> Game:
     return Game(players=k, alphabet=n, clauses=tuple(clauses))
 
 
-def parse_text(text: str, alphabet=None) -> Game:
+def parse_text(text: str) -> Game:
     """Parse the line format: k question indices then the parity bit.
 
     `#` starts a comment; blank lines are ignored. Clause order is preserved.
-    A `# alphabet: N` comment declares the alphabet explicitly (an `alphabet`
-    argument still takes precedence); otherwise the maximum index seen wins.
+    A `# alphabet: N` comment declares the alphabet explicitly; otherwise the
+    maximum index seen wins.
     """
     rows = []
     declared = None
@@ -109,10 +109,10 @@ def parse_text(text: str, alphabet=None) -> Game:
         rows.append((nums[:-1], nums[-1]))
     if not rows:
         raise GameFormatError("no clauses found")
-    return make_game(rows, alphabet=alphabet if alphabet is not None else declared)
+    return make_game(rows, alphabet=declared)
 
 
-def parse_json(text: str, alphabet=None) -> Game:
+def parse_json(text: str) -> Game:
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:
@@ -132,8 +132,7 @@ def parse_json(text: str, alphabet=None) -> Game:
         rows.append((q, s))
     if "alphabet" in obj and type(obj["alphabet"]) is not int:
         raise GameFormatError(f"alphabet {obj['alphabet']!r} must be an integer")
-    declared = obj.get("alphabet", alphabet)
-    game = make_game(rows, alphabet=declared)
+    game = make_game(rows, alphabet=obj.get("alphabet"))
     if "players" in obj and obj["players"] != game.players:
         raise GameFormatError(
             f"declared players {obj['players']} but clauses have {game.players} questions"
@@ -141,16 +140,16 @@ def parse_json(text: str, alphabet=None) -> Game:
     return game
 
 
-def parse_game(data, fmt: str = "auto", alphabet=None) -> Game:
+def parse_game(data, fmt: str = "auto") -> Game:
     """Parse a game from text or JSON bytes/str; fmt in {auto, text, json}."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     if fmt == "auto":
         fmt = "json" if data.lstrip().startswith("{") else "text"
     if fmt == "text":
-        return parse_text(data, alphabet=alphabet)
+        return parse_text(data)
     if fmt == "json":
-        return parse_json(data, alphabet=alphabet)
+        return parse_json(data)
     raise GameFormatError(f"unknown format {fmt!r}")
 
 

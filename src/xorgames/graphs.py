@@ -75,6 +75,14 @@ class ComponentGame:
     clause_map: tuple[int, ...]  # new clause index -> original clause index
     question_map: tuple[tuple[int, ...], ...]  # [player][new q] -> original q
 
+    def lift(self, num_clauses: int, z, sigma_word=()) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """A certificate of this component in the original clause indices:
+        z padded with zeros off the component, and sigma_word mapped back."""
+        full = [0] * num_clauses
+        for i, zi in zip(self.clause_map, z, strict=True):
+            full[i] = zi
+        return tuple(full), tuple(self.clause_map[i] for i in sigma_word)
+
 
 def decompose_components(game: Game) -> list[ComponentGame]:
     """Partition the clause multiset by hypergraph component and re-compact

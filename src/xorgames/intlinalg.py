@@ -39,14 +39,6 @@ class IntMatrix:
     def from_rows(cls, rows) -> "IntMatrix":
         return cls(tuple(tuple(int(x) for x in row) for row in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)))
-
     @property
     def rows(self) -> int:
         return len(self.data)

@@ -116,10 +116,6 @@ def gf2_solve(game: Game) -> tuple[int, ...] | None:
     return tuple(bits)
 
 
-def gf2_satisfiable(game: Game) -> bool:
-    return gf2_solve(game) is not None
-
-
 class SearchStatus(Enum):
     FOUND = "found"
     NOT_FOUND = "not_found"

@@ -61,15 +61,6 @@ class CommutatorEntry:
     pair1: tuple[int, int]
     pair2: tuple[int, int]
 
-    def letters(self) -> tuple[int, ...]:
-        a, b = self.pair1
-        c, d = self.pair2
-        return (
-            self.conj
-            + (a, b, c, d, b, a, d, c)
-            + tuple(reversed(self.conj))
-        )
-
 
 def decompose_pair_commutators(letters, budget: int | None = None) -> list[CommutatorEntry]:
     """Write an even parity-trivial one-player word as an exact product of
@@ -288,12 +279,9 @@ def refute(game: Game, cap: int = DEFAULT_CAP) -> RefutationCertificate:
         if not outcome.member:
             continue
         local = construct_sigma_word(comp.game, outcome.obstruction_z, cap=cap)
-        z = [0] * game.num_clauses
-        for j, zj in enumerate(local.z):
-            z[comp.clause_map[j]] = zj
-        sigma_word = tuple(comp.clause_map[i] for i in local.sigma_word)
+        z, sigma_word = comp.lift(game.num_clauses, local.z, local.sigma_word)
         reduced = reduce_clause_word(game, sigma_word)
         if reduced != GroupWord.sign(3) or not check_obstruction(game, z):
             raise PipelineError("certificate failed re-verification on the full game")
-        return RefutationCertificate(z=tuple(z), sigma_word=sigma_word)
+        return RefutationCertificate(z=z, sigma_word=sigma_word)
     raise ValueError("game has no parity refutation; nothing to construct")

@@ -62,12 +62,6 @@ class GroupWord:
         return sum(len(seq) for seq in self.per_player)
 
 
-def word_from_letters(players: int, player: int, letters, sigma: int = 0) -> GroupWord:
-    seqs = [() for _ in range(players)]
-    seqs[player] = tuple(letters)
-    return GroupWord(tuple(seqs), sigma)
-
-
 def multiply(a: GroupWord, b: GroupWord) -> GroupWord:
     if a.players != b.players:
         raise ValueError(f"player count mismatch: {a.players} vs {b.players}")
@@ -80,16 +74,6 @@ def multiply(a: GroupWord, b: GroupWord) -> GroupWord:
 def inverse(w: GroupWord) -> GroupWord:
     # Letters and the sign are involutions, so inverting reverses sequences.
     return GroupWord(tuple(seq[::-1] for seq in w.per_player), w.sigma)
-
-
-def project_player(w: GroupWord, player: int) -> GroupWord:
-    """Keep player's letters, kill everything else including the sign."""
-    seqs = tuple(seq if a == player else () for a, seq in enumerate(w.per_player))
-    return GroupWord(seqs, 0)
-
-
-def project_sigma(w: GroupWord) -> int:
-    return w.sigma
 
 
 def clause_to_word(game: Game, i: int) -> GroupWord:
@@ -118,15 +102,6 @@ def reduce_clause_word(game: Game, cw: tuple[int, ...]) -> GroupWord:
         tuple(reduce_letters(map(column.__getitem__, cw)) for column in columns),
         sum(map(parities.__getitem__, cw)),
     )
-
-
-def render(w: GroupWord) -> str:
-    """Debug form, 1-based: `x1^(1) x2^(1) | x2^(2) | - | σ`."""
-    parts = []
-    for player, seq in enumerate(w.per_player, start=1):
-        parts.append(" ".join(f"x{q + 1}^({player})" for q in seq) if seq else "-")
-    parts.append("σ" if w.sigma else "-")
-    return " | ".join(parts)
 
 
 def canon_letters(letters) -> tuple[int, ...]:
@@ -164,19 +139,3 @@ def is_parity_trivial(letters) -> bool:
     """
     return not canon_letters(letters)
 
-
-def canon_word(w: GroupWord) -> GroupWord:
-    """Canonical form of a single-player word; the sign bit passes through.
-
-    Defined only for words of length >= 3 (shorter words are their own
-    class representatives but the uniqueness argument needs degree 3).
-    """
-    occupied = [a for a, seq in enumerate(w.per_player) if seq]
-    if len(occupied) > 1:
-        raise ValueError("canonical form is defined for single-player words")
-    if w.length() < 3:
-        raise ValueError(f"canonical form needs length >= 3, got {w.length()}")
-    player = occupied[0]
-    return word_from_letters(
-        w.players, player, canon_letters(w.per_player[player]), w.sigma
-    )

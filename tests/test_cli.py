@@ -37,7 +37,7 @@ def test_decide_ghz_perfect(tmp_path, capsys, ghz_file):
     code, out, _ = run(capsys, "decide", ghz_file, "--out", cert)
     assert code == 0
     assert "verdict: PERFECT" in out
-    obj = json.loads(open(cert).read())
+    obj = json.loads(Path(cert).read_text())
     assert obj["type"] == "merp"
     assert sorted(set(obj["phi"][0])) == ["0/1", "1/2"]
     assert obj["classically_perfect"] is False
@@ -50,7 +50,7 @@ def test_decide_pair_not_perfect(tmp_path, capsys):
     code, out, _ = run(capsys, "decide", str(game), "--out", cert)
     assert code == 1
     assert "verdict: NOT_PERFECT" in out
-    obj = json.loads(open(cert).read())
+    obj = json.loads(Path(cert).read_text())
     assert obj["type"] == "refutation"
     assert obj["verified"] is True
     assert sorted(obj["sigma_word"]) == [1, 2]
@@ -63,7 +63,7 @@ def test_decide_chsh_inconclusive(tmp_path, capsys):
     code, out, _ = run(capsys, "decide", str(game), "--out", cert)
     assert code == 2
     assert "verdict: NO_PERFECT_MERP_INCONCLUSIVE" in out
-    obj = json.loads(open(cert).read())
+    obj = json.loads(Path(cert).read_text())
     assert obj["type"] == "obstruction"
     assert obj["z"] in ([1, -1, -1, 1], [-1, 1, 1, -1])
 
@@ -107,16 +107,15 @@ def _corrupt_refutation(monkeypatch, damage=lambda word: word[:-1]):
 
 
 def _corrupt_obstruction(monkeypatch):
-    import xorgames.cli
+    from xorgames.graphs import ComponentGame
 
-    embed = xorgames.cli._embed_component_z
+    lift = ComponentGame.lift
 
-    def corrupted(*args):
-        z = list(embed(*args))
-        z[0] += 1
-        return tuple(z)
+    def corrupted(self, *args):
+        z, word = lift(self, *args)
+        return (z[0] + 1,) + z[1:], word
 
-    monkeypatch.setattr(xorgames.cli, "_embed_component_z", corrupted)
+    monkeypatch.setattr(ComponentGame, "lift", corrupted)
     return "1 1 1 1 0\n1 1 1 1 1\n"
 
 
@@ -154,7 +153,7 @@ def test_decide_classically_perfect(tmp_path, capsys):
     code, out, _ = run(capsys, "decide", str(game), "--out", cert)
     assert code == 0
     assert "verdict: CLASSICALLY_PERFECT" in out
-    obj = json.loads(open(cert).read())
+    obj = json.loads(Path(cert).read_text())
     assert obj["classically_perfect"] is True
     assert all(x in ("0/1", "1/1") for row in obj["phi"] for x in row)
 
@@ -186,15 +185,6 @@ def test_verify_checks_classical_claim(tmp_path, capsys, game_name, flag, code):
     assert "Traceback" not in err
 
 
-def test_decide_with_search_crosscheck(tmp_path, capsys):
-    game = tmp_path / "pair.txt"
-    game.write_text(PAIR_TEXT)
-    cert = str(tmp_path / "cert.json")
-    code, out, _ = run(capsys, "decide", str(game), "--out", cert, "--max-len", "4")
-    assert code == 1
-    assert "search: found" in out
-
-
 def test_decide_parse_error(tmp_path, capsys):
     game = tmp_path / "bad.txt"
     game.write_text("1 1 1 7\n")
@@ -213,7 +203,7 @@ def test_usage_error(capsys):
     assert main(["not-a-command"]) == 64
 
 
-@pytest.mark.parametrize("option,value", [("--cap", "0"), ("--cap", "-5"), ("--max-len", "-1")])
+@pytest.mark.parametrize("option,value", [("--cap", "0"), ("--cap", "-5")])
 def test_decide_rejects_out_of_range_arguments(tmp_path, capsys, option, value):
     game = tmp_path / "pair.txt"
     game.write_text(PAIR_TEXT)
@@ -234,7 +224,7 @@ def test_verify_roundtrip(tmp_path, capsys, ghz_file):
 def test_verify_tampered_phase(tmp_path, capsys, ghz_file):
     cert = str(tmp_path / "cert.json")
     run(capsys, "decide", ghz_file, "--out", cert)
-    obj = json.loads(open(cert).read())
+    obj = json.loads(Path(cert).read_text())
     obj["phi"][0][0] = "1/3"
     with open(cert, "w") as fh:
         json.dump(obj, fh)
@@ -247,7 +237,7 @@ def test_verify_tampered_refutation(tmp_path, capsys):
     game.write_text(PAIR_TEXT)
     cert = str(tmp_path / "cert.json")
     run(capsys, "decide", str(game), "--out", cert)
-    obj = json.loads(open(cert).read())
+    obj = json.loads(Path(cert).read_text())
     obj["sigma_word"] = obj["sigma_word"][:1] * 2  # break the product
     with open(cert, "w") as fh:
         json.dump(obj, fh)
@@ -481,7 +471,7 @@ def test_canon_matches_library(capsys):
 
 
 def test_export_graph_dot(capsys, ghz_file):
-    code, out, _ = run(capsys, "export-graph", ghz_file, "--format", "dot")
+    code, out, _ = run(capsys, "export-graph", ghz_file)
     assert code == 0
     assert out.startswith("graph clauses {")
     code, out, _ = run(capsys, "export-graph", ghz_file, "--pair", "2,3")

@@ -44,9 +44,9 @@ INPUT_ERRORS = {64, 65, 66}
 
 
 @st.composite
-def games(draw):
+def games(draw, players=st.integers(2, 4)):
     """(players, alphabet, [(1-based questions, parity)]) of a valid game."""
-    players = draw(st.integers(2, 4))
+    players = draw(players)
     alphabet = draw(st.integers(1, 3))
     clause = st.tuples(
         st.lists(st.integers(1, alphabet), min_size=players, max_size=players),
@@ -122,15 +122,23 @@ def test_decide_exits_cleanly_and_its_certificate_verifies(data):
 
 def _mutations(cert: dict):
     """Ways to damage one certificate: set or drop a key, nudge one entry of
-    a list, or replace the whole document."""
+    a list, or replace the whole document. A refutation's `sigma_word` can
+    also have one entry moved to another clause or two entries swapped:
+    every index stays in range and `z` stays valid, so only the product
+    check can tell."""
     keys = sorted(cert) + ["extra"]
     lists = sorted(k for k in ("z", "sigma_word") if k in cert)
-    return st.one_of(
+    ways = [
         st.tuples(st.just("set"), st.sampled_from(keys), JSON_VALUES),
         st.tuples(st.just("drop"), st.sampled_from(keys), st.none()),
         st.tuples(st.just("nudge"), st.sampled_from(lists or ["phi"]), st.integers(-2, 2)),
         st.tuples(st.just("replace"), st.none(), JSON_VALUES),
-    )
+    ]
+    if cert.get("sigma_word"):
+        position = st.integers(0, len(cert["sigma_word"]) - 1)
+        ways.append(st.tuples(st.just("move"), position, st.integers(1, cert["num_clauses"])))
+        ways.append(st.tuples(st.just("swap"), position, position))
+    return st.one_of(*ways)
 
 
 def _mutate(cert: dict, how, key, value):
@@ -141,6 +149,11 @@ def _mutate(cert: dict, how, key, value):
         cert.pop(key, None)
     elif how == "replace":
         return value
+    elif how == "move":
+        cert["sigma_word"][key] = value
+    elif how == "swap":
+        word = cert["sigma_word"]
+        word[key], word[value] = word[value], word[key]
     elif key == "phi":
         cert["phi"][0][0] = f"{value}/2"
     elif cert[key]:
@@ -149,7 +162,8 @@ def _mutate(cert: dict, how, key, value):
 
 
 @FUZZ
-@given(st.data(), games())
+# Three-player games are drawn twice as often: only they get refutations.
+@given(st.data(), st.one_of(games(), games(st.just(3))))
 def test_verify_and_simulate_exit_cleanly_on_corrupted_certificates(data, game):
     with tempfile.TemporaryDirectory() as d:
         path = write(d, "game", as_text(game))

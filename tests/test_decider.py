@@ -24,7 +24,7 @@ def test_incidence_matrix_shape():
 
 def test_abelianize_cancelling_pair():
     vec = abelianize_clause_word(PAIR, (0, 0))
-    assert vec.is_zero()
+    assert vec.per_player == ((0,),) * 3 and vec.sigma == 0
 
 
 def test_abelianize_sign_rule():
@@ -83,12 +83,12 @@ def test_decide_invariant_under_clause_reorder_and_relabel():
         relabel = list(range(game.alphabet))
         rng.shuffle(relabel)
         permuted = parse_text(
-            "\n".join(
+            f"# alphabet: {game.alphabet}\n"
+            + "\n".join(
                 " ".join(str(relabel[q] + 1) for q in game.clauses[i].questions)
                 + f" {game.clauses[i].parity}"
                 for i in order
-            ),
-            alphabet=game.alphabet,
+            )
         )
         assert decide(permuted).member == base
 

@@ -27,17 +27,15 @@ def test_parse_minimal_game():
 
 
 def test_declared_alphabet_wins_and_validates():
-    game = parse_text("1 1 1 0", alphabet=5)
+    game = parse_text("# alphabet: 5\n1 1 1 0")
     assert game.alphabet == 5
     with pytest.raises(GameFormatError):
-        parse_text("1 1 3 0", alphabet=2)
+        parse_text("# alphabet: 2\n1 1 3 0")
 
 
 def test_alphabet_directive():
     game = parse_text("# alphabet: 4\n1 1 1 0")
     assert game.alphabet == 4
-    # the function argument still wins over the directive
-    assert parse_text("# alphabet: 4\n1 1 1 0", alphabet=6).alphabet == 6
     with pytest.raises(GameFormatError):
         parse_text("# alphabet: x\n1 1 1 0")
     with pytest.raises(GameFormatError):

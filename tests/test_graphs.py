@@ -13,7 +13,7 @@ from xorgames.graphs import (
     pair_graph_dot,
 )
 from xorgames.refutation import Homomorphisms
-from xorgames.words import GroupWord, project_player, reduce_clause_word, word_from_letters
+from xorgames.words import reduce_clause_word
 
 # 11-clause alphabet-6 sample: one connected hypergraph whose induced
 # two-player graphs split into three components each.
@@ -84,7 +84,7 @@ def test_sample_pair_component_grouping():
 
 
 def test_single_clause_components():
-    game = parse_text("1 1 1 0", alphabet=3)
+    game = parse_text("# alphabet: 3\n1 1 1 0")
     hg = build_hypergraph(game)
     # one clause component plus (N-1)*k isolated vertices
     assert hg.num_components == 1 + 2 * 3
@@ -255,8 +255,8 @@ def test_path_word_projections():
                 word = pg.path_word(v)
                 assert len(word) % 2 == 1  # alpha-to-beta paths are odd
                 red = reduce_clause_word(game, word)
-                assert project_player(red, alpha) == word_from_letters(3, alpha, (q,))
-                assert project_player(red, beta) == word_from_letters(3, beta, (rep[1],))
+                assert red.per_player[alpha] == (q,)
+                assert red.per_player[beta] == (rep[1],)
                 checked += 1
     assert checked > 100
 
@@ -424,7 +424,7 @@ def test_gadget_kept_pairs_cancel_on_other_player():
             other = 1 - beta
             for q in sorted({c.questions[2] for c in game.clauses}):
                 red = reduce_clause_word(game, gadget_word(game, pg, q))
-                assert project_player(red, other) == GroupWord.identity(3)
+                assert red.per_player[other] == ()
                 checked += 1
     assert checked >= 50
 

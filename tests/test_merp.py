@@ -11,11 +11,12 @@ from xorgames.merp import (
     MerpStrategy,
     analytic_merp_value,
     merp_observable,
-    observables_pairwise_commute,
     simulate_merp_value,
     solve_merp,
     verify_merp_symbolic,
 )
+
+from helpers import observables_pairwise_commute
 
 GHZ = parse_text("1 1 1 0\n1 2 2 1\n2 1 2 1\n2 2 1 1")
 PAIR = parse_text("1 1 1 0\n1 1 1 1")

@@ -10,7 +10,6 @@ from xorgames.oracle import (
     SearchStatus,
     bounded_sigma_search,
     classical_value,
-    gf2_satisfiable,
     gf2_solve,
 )
 from xorgames.words import GroupWord, reduce_clause_word
@@ -70,7 +69,7 @@ def test_classical_at_least_half_and_gf2_agreement():
         game = generate_random_game(3, 2, rng.randrange(1, 7), seed=rng.randrange(10**6))
         result = classical_value(game)
         assert result.value >= Fraction(1, 2)
-        assert (result.value == 1) == gf2_satisfiable(game)
+        assert (result.value == 1) == (gf2_solve(game) is not None)
 
 
 def test_classical_size_guard():
@@ -95,7 +94,7 @@ def test_gf2_solution_actually_solves():
 
 def test_gf2_needs_rationals_example():
     game = parse_text("1 1 1 1\n1 2 2 0\n2 1 2 0\n2 2 1 0")
-    assert not gf2_satisfiable(game)
+    assert gf2_solve(game) is None
     assert not decide(game).member  # yet perfect with half-integer phases
 
 

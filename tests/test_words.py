@@ -6,17 +6,13 @@ from xorgames.games import generate_random_game, parse_text
 from xorgames.words import (
     GroupWord,
     canon_letters,
-    canon_word,
     clause_to_word,
     commutator,
     inverse,
     is_parity_trivial,
     multiply,
-    project_player,
-    project_sigma,
     reduce_clause_word,
-    render,
-    word_from_letters,
+    reduce_letters,
 )
 
 GHZ = parse_text("1 1 1 0\n1 2 2 1\n2 1 2 1\n2 2 1 1")
@@ -55,8 +51,8 @@ def test_clauses_are_involutions():
 
 
 def test_free_product_cancellation():
-    a = word_from_letters(3, 0, (0, 1))
-    b = word_from_letters(3, 0, (1, 0))
+    a = GroupWord(((0, 1), (), ()))
+    b = GroupWord(((1, 0), (), ()))
     assert multiply(a, b) == GroupWord.identity(3)
 
 
@@ -88,17 +84,15 @@ def test_projections_are_homomorphisms():
         a, b = random_word(rng), random_word(rng)
         ab = multiply(a, b)
         for alpha in range(3):
-            assert project_player(ab, alpha) == multiply(
-                project_player(a, alpha), project_player(b, alpha)
-            )
-        assert project_sigma(ab) == project_sigma(a) ^ project_sigma(b)
+            assert ab.per_player[alpha] == reduce_letters(a.per_player[alpha] + b.per_player[alpha])
+        assert ab.sigma == a.sigma ^ b.sigma
 
 
 def test_projection_of_clause_word():
     w = clause_to_word(GHZ, 1)  # (1,2,2|1)
-    assert project_player(w, 0) == word_from_letters(3, 0, (0,))
-    assert project_sigma(GroupWord.sign(3)) == 1
-    assert project_player(GroupWord.sign(3), 0) == GroupWord.identity(3)
+    assert w.per_player[0] == (0,)
+    assert GroupWord.sign(3).sigma == 1
+    assert GroupWord.sign(3).per_player == ((), (), ())
 
 
 def test_player_decomposition():
@@ -107,8 +101,9 @@ def test_player_decomposition():
         w = random_word(rng)
         prod = GroupWord.identity(3)
         for alpha in range(3):
-            prod = multiply(prod, project_player(w, alpha))
-        prod = multiply(prod, GroupWord(((), (), ()), project_sigma(w)))
+            only = tuple(seq if a == alpha else () for a, seq in enumerate(w.per_player))
+            prod = multiply(prod, GroupWord(only))
+        prod = multiply(prod, GroupWord(((), (), ()), w.sigma))
         assert prod == w
 
 
@@ -206,12 +201,6 @@ def test_clause_word_per_player_parity():
             assert len(red.per_player[alpha]) % 2 == length % 2
 
 
-def test_render():
-    w = GroupWord(((0, 1), (1,), ()), 1)
-    assert render(w) == "x1^(1) x2^(1) | x2^(2) | - | σ"
-    assert render(GroupWord.identity(3)) == "- | - | - | -"
-
-
 # canonical form ---------------------------------------------------------
 
 LETTERS = {ch: i for i, ch in enumerate("abcdefghijklmnopqrstuvwxyz")}
@@ -275,14 +264,10 @@ def test_canon_exhaustive_parity_orbits():
 
 
 def test_canon_word_api():
-    w = word_from_letters(3, 1, (2, 0, 1), sigma=1)
-    c = canon_word(w)
-    assert c.per_player[1] == canon_letters((2, 0, 1))
-    assert c.sigma == 1
-    with pytest.raises(ValueError):
-        canon_word(word_from_letters(3, 0, (0, 1)))
-    with pytest.raises(ValueError):
-        canon_word(GroupWord(((0, 1, 0), (1,), ()), 0))
+    # A one-player word's class is read off its letters; the sign bit plays
+    # no part. Odd positions 2, 1 sort to 1, 2 around the even 0.
+    w = GroupWord(((), (2, 0, 1), ()), 1)
+    assert canon_letters(w.per_player[1]) == (1, 0, 2)
 
 
 def test_parity_trivial():
