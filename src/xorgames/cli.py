@@ -8,7 +8,8 @@ error, never a downgraded verdict.
 Exit codes: 0 verdict PERFECT or CLASSICALLY_PERFECT (or verify pass),
 1 NOT_PERFECT (or verify fail), 2 NO_PERFECT_MERP_INCONCLUSIVE, 64 usage or
 `classical`'s size limit, 65 unreadable, malformed or too deeply nested input,
-66 certificate/game mismatch, 70 internal verification failure.
+66 certificate/game mismatch, 70 internal verification failure, 71 out of
+memory.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EX_USAGE = 64
 EX_DATA = 65
 EX_MISMATCH = 66
 EX_INTERNAL = 70
+EX_RESOURCE = 71
 
 
 class CliError(Exception):
@@ -48,9 +50,9 @@ def _read_input(path: str) -> str:
         raise CliError(f"cannot read {path}: {e}", EX_DATA) from None
 
 
-def _load_game(path: str, fmt: str = "auto") -> Game:
+def _load_game(path: str) -> Game:
     try:
-        return parse_game(_read_input(path), fmt=fmt)
+        return parse_game(_read_input(path))
     except GameFormatError as e:
         raise CliError(f"bad game: {e}", EX_DATA) from None
 
@@ -77,7 +79,7 @@ def _dump_certificate(obj: dict, path: str):
 
 
 def cmd_decide(args) -> int:
-    game = _load_game(args.game, args.format)
+    game = _load_game(args.game)
     components = decompose_components(game)
     outcomes = [decide(comp.game) for comp in components]
     print(f"components: {len(components)}")
@@ -209,7 +211,7 @@ def _check_certificate(game: Game, obj: dict) -> bool:
 
 
 def cmd_verify(args) -> int:
-    game = _load_game(args.game, args.format)
+    game = _load_game(args.game)
     obj = _load_certificate(args.certificate)
     _check_cert_matches(obj, game)
     ok = _check_certificate(game, obj)
@@ -218,7 +220,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    game = _load_game(args.game, args.format)
+    game = _load_game(args.game)
     obj = _load_certificate(args.certificate)
     _check_cert_matches(obj, game)
     if obj["type"] != "merp":
@@ -230,7 +232,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_classical(args) -> int:
-    game = _load_game(args.game, args.format)
+    game = _load_game(args.game)
     try:
         result = oracle.classical_value(game)
     except ValueError as e:  # the brute-force cap
@@ -256,7 +258,7 @@ def cmd_canon(args) -> int:
 
 
 def cmd_export_graph(args) -> int:
-    game = _load_game(args.game, "auto")
+    game = _load_game(args.game)
     if args.pair:
         try:
             a, b = (int(x) for x in args.pair.split(","))
@@ -299,15 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_game_arg(p):
-        p.add_argument("game", help="game file, or '-' for stdin")
-        p.add_argument(
-            "--format", choices=["auto", "text", "json"], default="auto",
-            help="input format (default: sniffed)",
-        )
-
     p = sub.add_parser("decide", help="decide the game and write a certificate")
-    add_game_arg(p)
+    p.add_argument("game", help="game file, or '-' for stdin")
     p.add_argument("--out", default="certificate.json", help="certificate path")
     p.add_argument(
         "--cap", type=_at_least(1), default=DEFAULT_CAP, metavar="N",
@@ -316,17 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("verify", help="re-check a certificate against a game")
-    add_game_arg(p)
+    p.add_argument("game", help="game file, or '-' for stdin")
     p.add_argument("certificate", help="certificate file")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="simulate a phase-table strategy")
-    add_game_arg(p)
+    p.add_argument("game", help="game file, or '-' for stdin")
     p.add_argument("certificate", help="phase-table certificate file")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("classical", help="exact classical value by brute force")
-    add_game_arg(p)
+    p.add_argument("game", help="game file, or '-' for stdin")
     p.set_defaults(func=cmd_classical)
 
     p = sub.add_parser("canon", help="canonical form of a one-player word")
@@ -364,6 +359,10 @@ def main(argv=None) -> int:
         return e.code
     except BrokenPipeError:
         return 0
+    except MemoryError:
+        pass  # reported below, once the frames holding the memory are released
+    print("error: out of memory", file=sys.stderr)
+    return EX_RESOURCE
 
 
 if __name__ == "__main__":

@@ -140,17 +140,14 @@ def parse_json(text: str) -> Game:
     return game
 
 
-def parse_game(data, fmt: str = "auto") -> Game:
-    """Parse a game from text or JSON bytes/str; fmt in {auto, text, json}."""
+def parse_game(data) -> Game:
+    """Parse a game from text or JSON bytes/str: JSON when its first non-blank
+    character is '{', text otherwise."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    if fmt == "auto":
-        fmt = "json" if data.lstrip().startswith("{") else "text"
-    if fmt == "text":
-        return parse_text(data)
-    if fmt == "json":
+    if data.lstrip().startswith("{"):
         return parse_json(data)
-    raise GameFormatError(f"unknown format {fmt!r}")
+    return parse_text(data)
 
 
 def serialize_text(game: Game) -> str:

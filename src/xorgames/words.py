@@ -58,9 +58,6 @@ class GroupWord:
     def players(self) -> int:
         return len(self.per_player)
 
-    def length(self) -> int:
-        return sum(len(seq) for seq in self.per_player)
-
 
 def multiply(a: GroupWord, b: GroupWord) -> GroupWord:
     if a.players != b.players:

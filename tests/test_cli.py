@@ -198,9 +198,12 @@ def test_decide_missing_file(capsys):
     assert code == 65
 
 
-def test_usage_error(capsys):
+def test_usage_error(capsys, ghz_file):
     assert main(["decide"]) == 64
     assert main(["not-a-command"]) == 64
+    # The input format is sniffed; there is no option to force one.
+    assert main(["decide", ghz_file, "--format", "json"]) == 64
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option,value", [("--cap", "0"), ("--cap", "-5")])
@@ -437,13 +440,36 @@ def test_deeply_nested_json_is_malformed_input(tmp_path, capsys, ghz_file):
     assert err.startswith("error: bad certificate")
 
 
-def test_cli_import_needs_no_numpy():
+def _child_env():
+    """The environment of a child interpreter that imports this checkout."""
     import xorgames
 
     src = str(Path(xorgames.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_cli_import_needs_no_numpy():
     check = "import sys, xorgames.cli; assert 'numpy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", check], env=env, check=True)
+    subprocess.run([sys.executable, "-c", check], env=_child_env(), check=True)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+def test_out_of_memory_has_its_own_exit_code(tmp_path):
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    game = tmp_path / "wide.txt"
+    game.write_text("# alphabet: 200000\n1 1 1 0\n")
+    cert = tmp_path / "cert.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "xorgames", "decide", str(game), "--out", str(cert)],
+        env=_child_env(), capture_output=True, text=True, preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 71
+    assert proc.stderr == "error: out of memory\n"
+    assert "verdict:" not in proc.stdout and not cert.exists()
 
 
 def test_classical_prints_fraction(capsys, ghz_file):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from xorgames.decider import abelianize_clause_word, decide, witness_clause_word
-from xorgames.games import generate_random_game, parse_text
+from xorgames import refutation
+from xorgames.decider import abelianize_clause_word, check_obstruction, decide, witness_clause_word
+from xorgames.games import generate_random_game, make_game, parse_text
 from xorgames.graphs import build_hypergraph, decompose_components
 from xorgames.refutation import (
     Homomorphisms,
@@ -463,6 +464,59 @@ def test_refute_driver_multi_component():
     assert reduce_clause_word(game, cert.sigma_word) == GroupWord.sign(3)
     assert set(cert.sigma_word) <= {4, 5}
     assert cert.z[:4] == (0, 0, 0, 0)
+
+
+def _disjoint_union(rng, games):
+    """One game whose components are the given games, each player's
+    questions shifted past the previous games' (with a random gap of unasked
+    questions), and the clause order shuffled."""
+    rows = []
+    offset = [0, 0, 0]
+    for game in games:
+        shift = [o + rng.randrange(3) for o in offset]
+        rows += [
+            (tuple(q + 1 + d for q, d in zip(c.questions, shift)), c.parity)
+            for c in game.clauses
+        ]
+        offset = [d + game.alphabet for d in shift]
+    rng.shuffle(rows)
+    return make_game(rows)
+
+
+def test_refute_lifts_a_certificate_valid_on_the_full_game():
+    # `refute` checks the certificate on the component only; the lift to
+    # the full game's clause indices and questions must keep it valid.
+    rng = random.Random(457)
+    refutable = connected_games(rng, 20, alphabet=3, max_clauses=6, member=True)
+    others = connected_games(rng, 40, alphabet=3, max_clauses=6)
+    for i, game in enumerate(refutable):
+        parts = [game] + others[2 * i:2 * i + 1 + i % 2]
+        rng.shuffle(parts)
+        full = _disjoint_union(rng, parts)
+        assert len(decompose_components(full)) == len(parts)
+        cert = refute(full)
+        assert reduce_clause_word(full, cert.sigma_word) == GroupWord.sign(3)
+        assert check_obstruction(full, cert.z)
+
+
+def test_refute_reduces_each_letter_once(monkeypatch):
+    # Construction carries the normal form of its growing word: each letter
+    # of the final word goes through one reduction, and nothing is reduced
+    # again after the lift.
+    reduced = []
+    original = refutation.reduce_clause_word
+
+    def counting(game, cw):
+        reduced.append(len(cw))
+        return original(game, cw)
+
+    monkeypatch.setattr(refutation, "reduce_clause_word", counting)
+    games = [generate_random_game(3, n, 5 * n, seed) for n in (12, 16) for seed in (1, 3)]
+    games += connected_games(random.Random(461), 30, alphabet=3, max_clauses=6, member=True)
+    for game in games:
+        reduced.clear()
+        cert = refute(game)
+        assert sum(reduced) == len(cert.sigma_word)
 
 
 def test_refute_rejects_perfect_games():
