@@ -30,7 +30,6 @@ from .graphs import (
 )
 from .intlinalg import (
     IntMatrix,
-    Mod2Outcome,
     SmithDecomposition,
     integer_kernel_basis,
     smith_normal_form,

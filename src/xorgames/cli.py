@@ -8,8 +8,9 @@ error, never a downgraded verdict.
 Exit codes: 0 verdict PERFECT or CLASSICALLY_PERFECT (or verify pass),
 1 NOT_PERFECT (or verify fail), 2 NO_PERFECT_MERP_INCONCLUSIVE, 64 usage or
 `classical`'s size limit, 65 unreadable, malformed or too deeply nested input,
-66 certificate/game mismatch, 70 internal verification failure, 71 out of
-memory.
+66 certificate/game mismatch, 70 internal error (a re-verification or any
+other exact self-check failing, always reported as one `error:` line), 71 out
+of memory.
 """
 
 from __future__ import annotations
@@ -101,10 +102,7 @@ def cmd_decide(args) -> int:
         cert = dict(type="merp", classically_perfect=classical, **strategy.to_dict())
         verdict, code = ("CLASSICALLY_PERFECT" if classical else "PERFECT"), 0
     elif game.players == 3:
-        try:
-            certificate = refute(game, cap=args.cap)
-        except PipelineError as e:
-            raise CliError(f"refutation pipeline failed: {e}", EX_INTERNAL) from None
+        certificate = refute(game, cap=args.cap)
         cert = dict(
             type="refutation",
             z=list(certificate.z),
@@ -357,6 +355,12 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except PipelineError as e:
+        print(f"error: refutation pipeline failed: {e}", file=sys.stderr)
+        return EX_INTERNAL
+    except AssertionError as e:  # an exact self-check failed: a bug
+        print(f"error: internal check failed: {e}", file=sys.stderr)
+        return EX_INTERNAL
     except BrokenPipeError:
         return 0
     except MemoryError:

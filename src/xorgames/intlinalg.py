@@ -23,7 +23,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
-from math import gcd
 
 
 @dataclass(frozen=True)
@@ -239,16 +238,12 @@ def _check_decomposition(a: IntMatrix, dec: SmithDecomposition):
             raise AssertionError("negative invariant factor")
 
 
-def _primitive(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    if g > 1:
-        vec = tuple(x // g for x in vec)
-    for x in vec:
-        if x != 0:
-            return vec if x > 0 else tuple(-y for y in vec)
-    return tuple(vec)
+def _sign_normalised(vec):
+    """vec with its first nonzero entry made positive. A column of V needs no
+    division by its gcd: V is built from column swaps and integer column
+    additions only, so det V = ±1, and the gcd of any column divides it."""
+    lead = next((x for x in vec if x), 0)
+    return vec if lead >= 0 else tuple(-x for x in vec)
 
 
 def _kernel_columns(dec: SmithDecomposition):
@@ -260,25 +255,12 @@ def _kernel_columns(dec: SmithDecomposition):
 def integer_kernel_basis(a: IntMatrix):
     """Basis of the lattice { z : a·z = 0 }, one vector per free column."""
     dec = smith_normal_form(a)
-    basis = [_primitive(col) for col in _kernel_columns(dec)]
+    basis = [_sign_normalised(col) for col in _kernel_columns(dec)]
     # One product a·K with the basis vectors as the columns of K checks
     # a·v = 0 exactly for every vector at once.
     if basis and any(map(any, a.mul(IntMatrix(tuple(zip(*basis)))).data)):
         raise AssertionError("kernel vector fails a·v = 0")
     return basis
-
-
-@dataclass(frozen=True)
-class Mod2Outcome:
-    """Exactly one of solution / obstruction is set.
-
-    solution: rational phi with b·phi = s componentwise modulo 2 (the
-    difference is an even integer vector), entries reduced into [0, 2).
-    obstruction: primitive integer u with u·b = 0 exactly and u·s odd.
-    """
-
-    solution: tuple[Fraction, ...] | None = None
-    obstruction: tuple[int, ...] | None = None
 
 
 def _zero_free_directions(phi, kernel):
@@ -319,11 +301,12 @@ def _zero_free_directions(phi, kernel):
     return phi
 
 
-def solve_mod2_over_rationals(b: IntMatrix, s) -> Mod2Outcome:
-    """Solve b·phi = s (mod 2) over the rationals, or certify impossibility.
+def solve_mod2_over_rationals(b: IntMatrix, s) -> tuple[Fraction, ...] | None:
+    """Rational phi with b·phi = s (mod 2) componentwise, entries reduced
+    into [0, 2), or None when no rational solution exists.
 
     Via the Smith decomposition U·b·V = D: a zero row i of D forces
-    (U·s)_i to be even, else row i of U is the obstruction; otherwise
+    (U·s)_i to be even, else there is no solution; otherwise
     back-substitute psi_i = (U·s)_i / d_i and take phi = V·psi. The free
     directions (the rational kernel of b) are zeroed out of phi so the
     returned solution is the canonical one.
@@ -334,12 +317,8 @@ def solve_mod2_over_rationals(b: IntMatrix, s) -> Mod2Outcome:
     dec = smith_normal_form(b)
     us = dec.u.mulvec(s)
     r = dec.rank
-    for i in range(r, b.rows):
-        if us[i] % 2 == 1:
-            u = _primitive(dec.u.data[i])
-            if b.transpose().mulvec(u) != (0,) * b.cols:
-                raise AssertionError("obstruction fails u·b = 0")
-            return Mod2Outcome(obstruction=u)
+    if any(us[i] % 2 for i in range(r, b.rows)):
+        return None
     # psi_i = (U·s)_i mod 2d_i over d_i, written over the common denominator
     # d_{r-1} (every d_i divides it), so phi = V·psi is one integer sum per
     # entry divided by that denominator.
@@ -354,4 +333,4 @@ def solve_mod2_over_rationals(b: IntMatrix, s) -> Mod2Outcome:
         diff = lhs - rhs
         if diff.denominator != 1 or diff.numerator % 2 != 0:
             raise AssertionError("solution fails b·phi = s (mod 2)")
-    return Mod2Outcome(solution=phi)
+    return phi

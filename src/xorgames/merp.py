@@ -75,19 +75,15 @@ def clause_phase_sum(game: Game, strat: MerpStrategy, i: int) -> Fraction:
 
 
 def solve_merp(game: Game) -> MerpStrategy | None:
-    """Exact phase table winning every round, or None when the parity
-    obstruction exists (the two cases are mutually exclusive)."""
-    outcome = solve_mod2_over_rationals(
+    """Exact phase table winning every round, or None when no rational
+    table exists (then `decide` finds the odd integer witness)."""
+    phi = solve_mod2_over_rationals(
         incidence_matrix(game), [c.parity for c in game.clauses]
     )
-    if outcome.solution is None:
+    if phi is None:
         return None
     n = game.alphabet
-    phi = tuple(
-        tuple(outcome.solution[a * n + q] for q in range(n))
-        for a in range(game.players)
-    )
-    return MerpStrategy(phi)
+    return MerpStrategy(tuple(phi[a * n:(a + 1) * n] for a in range(game.players)))
 
 
 def verify_merp_symbolic(game: Game, strat: MerpStrategy) -> bool:

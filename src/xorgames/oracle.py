@@ -2,9 +2,12 @@
 
 Exact classical values by Gray-code enumeration of all +-1 assignments,
 GF(2) solvability of the clause system, and a breadth-first search for an
-explicit clause product equal to the sign element. These are the independent
-cross-checks the property suites lean on; nothing here shares code with the
-polynomial-time paths it validates.
+explicit clause product equal to the sign element. These are the cross-checks
+the property suites lean on. `classical_value` and `gf2_solve` share no code
+with the polynomial-time paths they validate. `bounded_sigma_search` does:
+it multiplies with `words.GroupWord`, `multiply` and `clause_to_word`, so it
+reuses the normal form (`reduce_letters`) that the refutation check uses, and
+independently searches only over which clause products to form.
 """
 
 from __future__ import annotations

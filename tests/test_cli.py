@@ -566,6 +566,43 @@ def test_refutation_cap_abort_golden(tmp_path, capsys):
 
 
 
+# Exit code and sha256 of the certificate `decide` writes for
+# generate_random_game(k, n, m, seed): two PERFECT phase tables (the first
+# with quarter phases), a CLASSICALLY_PERFECT one and an obstruction witness.
+GOLDEN_CERTIFICATES = {
+    (5, 6, 24, 1): (0, "24d19ddae3f2f70e05b2e8743d0d0d78b0703e5b1eb397df17753bdeb17ca4ba"),
+    (5, 6, 24, 3): (0, "d121fcda3e6ab500b378d13aaa5ee1f8350fcda6504e26a42d511fec50832c6c"),
+    (4, 6, 12, 0): (0, "fee71a842565717401f41736fbb711d374242702132e3b6160cb6710694677b3"),
+    (4, 6, 24, 0): (2, "8f7319733dc9c92e75601e4ff1b07ae40c2b640205afcd1966497ccc975c8098"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_CERTIFICATES))
+def test_phase_and_witness_certificate_golden(tmp_path, capsys, shape):
+    game = tmp_path / "g.txt"
+    game.write_text(serialize_text(generate_random_game(*shape)))
+    cert = tmp_path / "c.json"
+    code, _, err = run(capsys, "decide", str(game), "--out", str(cert))
+    assert (code, hashlib.sha256(cert.read_bytes()).hexdigest()) == GOLDEN_CERTIFICATES[shape]
+    assert err == ""
+
+
+def test_failed_self_check_exits_70_with_one_line(tmp_path, capsys, monkeypatch, ghz_file):
+    def broken(a, dec):
+        raise AssertionError("Smith decomposition identity U*A*V == D failed")
+
+    monkeypatch.setattr("xorgames.intlinalg._check_decomposition", broken)
+    cert = tmp_path / "cert.json"
+    code, out, err = run(capsys, "decide", ghz_file, "--out", str(cert))
+    assert code == 70
+    assert err == (
+        "error: internal check failed:"
+        " Smith decomposition identity U*A*V == D failed\n"
+    )
+    assert "verdict:" not in out
+    assert not cert.exists()
+
+
 # sha256 of `export-graph` stdout for `gen -k 3 -n 12 -m 60 --seed 1`: the
 # hypergraph (pair None) and every ordered player pair, recorded while the
 # component labelling was a breadth-first flood.

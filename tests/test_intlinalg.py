@@ -1,7 +1,9 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -242,6 +244,10 @@ def test_kernel_basis_against_bounded_enumeration():
     for _ in range(40):
         a = random_matrix(rng, max_dim=3, bound=2)
         basis = integer_kernel_basis(a)
+        for vec in basis:
+            # Columns of a unimodular V: primitive, up to the sign fixed here.
+            assert reduce(gcd, vec) == 1
+            assert next(x for x in vec if x) > 0
         for vec in product(range(-3, 4), repeat=a.cols):
             if a.mulvec(vec) != (0,) * a.rows:
                 continue
@@ -293,13 +299,12 @@ def _in_lattice(vec, basis) -> bool:
 
 def test_mod2_single_equation():
     out = solve_mod2_over_rationals(IntMatrix.from_rows([[1, 1, 1]]), [1])
-    assert out.solution is not None and out.obstruction is None
+    assert out is not None
 
 
 def test_mod2_contradictory_rows():
     out = solve_mod2_over_rationals(IntMatrix.from_rows([[1, 0], [1, 0]]), [0, 1])
-    assert out.solution is None
-    assert out.obstruction in ((1, -1), (-1, 1))
+    assert out is None
 
 
 def test_mod2_needs_half_integers():
@@ -314,8 +319,8 @@ def test_mod2_needs_half_integers():
         ]
     )
     out = solve_mod2_over_rationals(b, [1, 0, 0, 0])
-    assert out.solution is not None
-    assert max(x.denominator for x in out.solution) == 2
+    assert out is not None
+    assert max(x.denominator for x in out) == 2
     assert integer_kernel_basis(b.transpose()) == []
 
 
@@ -325,14 +330,14 @@ def test_mod2_solution_reduced_range():
         b = random_matrix(rng, max_dim=5, bound=3)
         s = [rng.randrange(2) for _ in range(b.rows)]
         out = solve_mod2_over_rationals(b, s)
-        if out.solution is not None:
-            assert all(0 <= x < 2 for x in out.solution)
+        if out is not None:
+            assert all(0 <= x < 2 for x in out)
 
 
 def test_mod2_alternative_exclusivity():
-    # The solver asserts its own branch exactly; here we cross-check against
-    # the independent kernel route: an obstruction exists iff some kernel
-    # vector of the transpose has odd pairing with s.
+    # The solver checks its solution exactly; here we cross-check its None
+    # against the independent kernel route: no solution exists iff some
+    # kernel vector of the transpose has odd pairing with s.
     rng = random.Random(53)
     for _ in range(500):
         b = random_matrix(rng, max_dim=5, bound=2)
@@ -342,8 +347,7 @@ def test_mod2_alternative_exclusivity():
         kernel_odd = any(
             sum(u * x for u, x in zip(vec, s)) % 2 == 1 for vec in kernel
         )
-        assert (out.obstruction is not None) == kernel_odd
-        assert (out.solution is None) == kernel_odd
+        assert (out is None) == kernel_odd
 
 
 def test_mod2_dimension_mismatch():
@@ -453,6 +457,6 @@ def test_mod2_solution_matches_dense_reduction(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(intlinalg, "_zero_free_directions", dense_zero_free_directions)
             assert solve_mod2_over_rationals(b, s) == sparse
-        if sparse.solution and any(x.denominator != 1 for x in sparse.solution):
+        if sparse and any(x.denominator != 1 for x in sparse):
             half_integral += 1
     assert half_integral >= 10
