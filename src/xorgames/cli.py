@@ -109,6 +109,7 @@ def cmd_decide(args) -> int:
             sigma_word=[i + 1 for i in certificate.sigma_word],
             verified=True,
         )
+        del certificate  # the 0-based word is no longer needed
         verdict, code = "NOT_PERFECT", 1
     else:
         comp, outcome = next((c, o) for c, o in zip(components, outcomes) if o.member)
@@ -173,7 +174,7 @@ def _int_list(obj: dict, key: str) -> list[int]:
     """A certificate list whose entries must be JSON integers: int() would
     truncate a float and accept a boolean."""
     value = obj.get(key)
-    if not isinstance(value, list) or any(type(x) is not int for x in value):
+    if not isinstance(value, list) or not {int}.issuperset(map(type, value)):
         raise CliError(f"bad certificate: {key!r} must be a list of integers", EX_DATA)
     return value
 
@@ -195,7 +196,7 @@ def _check_certificate(game: Game, obj: dict) -> bool:
             ok = all(x.denominator == 1 for row in strategy.phi for x in row)
     elif kind == "refutation":
         z = _int_list(obj, "z")
-        word = tuple(i - 1 for i in _int_list(obj, "sigma_word"))
+        word = [i - 1 for i in _int_list(obj, "sigma_word")]
         try:
             product = reduce_clause_word(game, word)
         except IndexError:

@@ -248,8 +248,12 @@ def construct_sigma_word(
         if red.per_player[0] or red.per_player[1]:
             raise PipelineError(f"players 1, 2 reappeared after the {stage}")
 
+    # Entries are popped as they are assembled, so each conjugator copy is
+    # freed once used.
     pieces: list[int] = []
-    for entry in entries:
+    entries.reverse()
+    while entries:
+        entry = entries.pop()
         fu = hom.compose_f(entry.conj)
         fp = hom.compose_f(entry.pair1)
         fq = hom.compose_f(entry.pair2)
@@ -257,15 +261,18 @@ def construct_sigma_word(
         pieces += commutator(hom.phi_pair(2, 0, fp), hom.phi_pair(2, 1, fq))
         pieces += hom.phi_simple(2, fu[::-1])
         guard("commutator assembly", pieces)
-    w4 = tuple(pieces)
 
-    red4 = reduce_clause_word(game, w4)
+    red4 = reduce_clause_word(game, pieces)
     if red4.per_player[0] or red4.per_player[1] or red4.sigma:
         raise PipelineError("assembled commutator word leaks outside player 3")
     if red4.per_player[2] != red.per_player[2]:
         raise PipelineError("assembled word does not match the player-3 residue")
 
-    final = guard("final word", w + w4[::-1])
+    # final = w . pieces^-1, built in the list that holds the pieces.
+    pieces.reverse()
+    pieces[:0] = w
+    final = guard("final word", tuple(pieces))
+    del pieces
     if multiply(red, inverse(red4)) != GroupWord.sign(3):
         raise PipelineError("final clause word does not reduce to the sign element")
     return RefutationCertificate(z=tuple(int(x) for x in z), sigma_word=final)

@@ -11,25 +11,37 @@ Letters are 0-based question indices. A clause maps to the word with one
 letter per player and the clause's parity as the sign bit. A product of
 clauses (a clause word) is a plain tuple of 0-based clause indices, so that
 membership in the clause subgroup stays manifest: clauses are involutions,
-so its inverse is the reversed tuple and products are concatenations.
+so its inverse is the reversed tuple and products are concatenations, and
+adjacent equal indices cancel. `reduce_clause_word` uses the last fact: it
+cancels the clause indices first and only then reduces each player's column.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .games import Game
 
 
 def reduce_letters(letters) -> tuple[int, ...]:
-    """Free reduction of a one-player word: adjacent equal letters cancel."""
-    out = []
+    """Free reduction of a one-player word: adjacent equal letters cancel.
+
+    `letters` may be any iterable. The stack's top is kept in a local, over
+    a sentinel bottom that equals no letter."""
+    out = [None]
+    push, pop = out.append, out.pop
+    top = None
     for x in letters:
-        if out and out[-1] == x:
-            out.pop()
+        if x == top:
+            pop()
+            top = out[-1]
         else:
-            out.append(x)
+            push(x)
+            top = x
+    del out[0]
     return tuple(out)
 
 
@@ -84,20 +96,30 @@ def commutator(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return (*a, *b, *a[::-1], *b[::-1])
 
 
-def reduce_clause_word(game: Game, cw: tuple[int, ...]) -> GroupWord:
-    """Multiply the referenced clauses out to a normal form: each player's
-    column of questions streams through one free reduction, and the sign is
-    the parity of the clause parities."""
+def reduce_clause_word(game: Game, cw: Sequence[int]) -> GroupWord:
+    """Multiply the referenced clauses out to a normal form.
+
+    Every index is range-checked first, over the whole word, so a bad index
+    raises IndexError even where it would cancel against its neighbour.
+    Clauses are involutions, so adjacent equal clause indices then cancel
+    (each player's letter cancels and the two parities sum to an even
+    number); each player's column of the shortened word streams through
+    one free reduction, and the sign is the parity of the clause parities.
+    """
     if cw:
         low, high = min(cw), max(cw)
         if low < 0 or high >= game.num_clauses:
             raise IndexError(f"clause index {low if low < 0 else high} out of range")
+    cw = reduce_letters(cw)
+    # itemgetter gathers at C speed, but returns a bare item for one index
+    # and takes no zero-index form.
+    gather = itemgetter(*cw) if len(cw) > 1 else lambda seq: tuple(seq[i] for i in cw)
     clauses = game.clauses
     columns = [tuple(c.questions[a] for c in clauses) for a in range(game.players)]
     parities = tuple(c.parity for c in clauses)
     return GroupWord(
-        tuple(reduce_letters(map(column.__getitem__, cw)) for column in columns),
-        sum(map(parities.__getitem__, cw)),
+        tuple(reduce_letters(gather(column)) for column in columns),
+        sum(gather(parities)),
     )
 
 

@@ -295,11 +295,14 @@ def test_verify_rejects_non_integer_entries(tmp_path, capsys, case):
 @pytest.mark.parametrize("index", [0, 3], ids=["zero", "past_end"])
 def test_verify_refutation_index_out_of_range(tmp_path, capsys, z, index):
     # The pair game has two clauses; an index outside 1..2 is a mismatch
-    # with the game whether or not z is a valid witness.
-    cert = {"type": "refutation", "z": z, "sigma_word": [1, index, 2]}
-    code, out, err = _verify_with(tmp_path, capsys, "verify", PAIR_TEXT, cert)
-    assert code == 66 and out == ""
-    assert err == "error: clause index out of range\n"
+    # with the game whether or not z is a valid witness. A pair of the same
+    # bad index is too: cancelling it away would leave [1, 2], which with
+    # the good z is a valid refutation.
+    for word in ([1, index, 2], [1, index, index, 2]):
+        cert = {"type": "refutation", "z": z, "sigma_word": word}
+        code, out, err = _verify_with(tmp_path, capsys, "verify", PAIR_TEXT, cert)
+        assert code == 66 and out == ""
+        assert err == "error: clause index out of range\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate"])
@@ -537,6 +540,9 @@ GOLDEN_REFUTATIONS = {
     (12, 3): "9d8da1983735beadc1fa527e10e751539d8911110bb32141e364b381a0551b18",
     (16, 1): "cd831e798a18e42827ce24933fed298a9147c38e08af07af25bdde7d667f4e06",
     (20, 3): "f647a8c94ce6f1558da34e46ba854915054c594536751546056310d9d2841ac0",
+    # Recorded later: 762,726 bytes, the only golden word longer than 13k
+    # clauses (292,284, of which 47,292 survive cancelling adjacent pairs).
+    (24, 1): "4f67a40707baa1d263f55a913b8a981c730fc1c9134fc2918704ec38c450cca1",
 }
 
 

@@ -150,10 +150,64 @@ def test_reduce_clause_word_matches_per_clause_stack():
 @pytest.mark.parametrize("bad", [4, -1])
 @pytest.mark.parametrize("where", [0, 3, 6])
 def test_reduce_clause_word_rejects_out_of_range_anywhere(bad, where):
-    cw = list((0, 1, 2, 3, 2, 1))
-    cw.insert(where, bad)
-    with pytest.raises(IndexError):
-        reduce_clause_word(GHZ, tuple(cw))
+    # An adjacent pair of the same bad index must raise too: the range
+    # check runs before adjacent equal clauses cancel.
+    for copies in (1, 2):
+        cw = list((0, 1, 2, 3, 2, 1))
+        cw[where:where] = [bad] * copies
+        with pytest.raises(IndexError):
+            reduce_clause_word(GHZ, tuple(cw))
+
+
+def test_reduce_letters_edge_cases():
+    assert reduce_letters(()) == ()
+    assert reduce_letters((7,)) == (7,)
+    assert reduce_letters((7, 7)) == ()
+    assert reduce_letters(x for x in (1, 2, 2, 1, 3)) == (3,)
+    assert reduce_letters(iter([0, 0, 0])) == (0,)
+    assert reduce_letters((1, 2, 1, 2)) == (1, 2, 1, 2)
+
+
+def nested_clause_word(rng, m, depth):
+    """A clause word over range(m) built so that much of it cancels at the
+    clause level, to varying depths: mirrored pairs, palindromes around a
+    letter, and a piece repeated on both sides of a core."""
+    def piece(k):
+        return tuple(rng.randrange(m) for _ in range(rng.randrange(k)))
+
+    if depth == 0:
+        return piece(5)
+    core = nested_clause_word(rng, m, depth - 1)
+    u = piece(6)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return u + core + core[::-1] + u[::-1]
+    if kind == 1:
+        return u + (rng.randrange(m),) + u[::-1]
+    if kind == 2:
+        r = rng.randrange(1, 4)
+        return u * r + core + u[::-1] * r
+    if kind == 3:
+        return core + u + core[::-1]
+    return piece(3) + core + piece(3)
+
+
+def test_cancelling_clauses_never_changes_the_product():
+    rng = random.Random(1409)
+    for trial in range(120):
+        game = generate_random_game(
+            rng.randrange(2, 6), rng.randrange(1, 5), rng.randrange(1, 9), rng.randrange(10**6)
+        )
+        m = game.num_clauses
+        cw = nested_clause_word(rng, m, rng.randrange(1, 7))
+        if trial % 10 == 0:  # long words: a nested piece repeated around a core
+            block = nested_clause_word(rng, m, 3) or (0,)
+            reps = 10**4 // len(block) + 1
+            cw = block * reps + cw + block[::-1] * (reps - rng.randrange(2))
+            assert len(cw) > 10**4
+        expected = reference_reduce_clause_word(game, cw)
+        assert reduce_clause_word(game, cw) == expected
+        assert reduce_clause_word(game, reduce_letters(cw)) == expected
 
 
 def test_normal_forms_multiply_to_the_normal_form_of_the_concatenation():
