@@ -52,7 +52,6 @@ from .oracle import (
 )
 from .refutation import (
     Homomorphisms,
-    PipelineError,
     RefutationCertificate,
     WordLengthCapExceeded,
     construct_sigma_word,

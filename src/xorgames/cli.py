@@ -9,8 +9,8 @@ Exit codes: 0 verdict PERFECT or CLASSICALLY_PERFECT (or verify pass),
 1 NOT_PERFECT (or verify fail), 2 NO_PERFECT_MERP_INCONCLUSIVE, 64 usage or
 `classical`'s size limit, 65 unreadable, malformed or too deeply nested input,
 66 certificate/game mismatch, 70 internal error (a re-verification or any
-other exact self-check failing, always reported as one `error:` line), 71 out
-of memory.
+other exact self-check failing, or a refutation outgrowing `--cap`; always
+reported as one `error:` line), 71 out of memory.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .decider import check_obstruction, decide
 from .games import Game, GameFormatError, generate_random_game, parse_game, serialize_json, serialize_text
 from .graphs import PairGraph, decompose_components, hypergraph_dot, pair_graph_dot
 from .merp import MerpStrategy
-from .refutation import DEFAULT_CAP, PipelineError, refute
+from .refutation import DEFAULT_CAP, WordLengthCapExceeded, refute
 from .words import GroupWord, canon_letters, reduce_clause_word
 
 EX_USAGE = 64
@@ -356,7 +356,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except PipelineError as e:
+    except WordLengthCapExceeded as e:
         print(f"error: refutation pipeline failed: {e}", file=sys.stderr)
         return EX_INTERNAL
     except AssertionError as e:  # an exact self-check failed: a bug

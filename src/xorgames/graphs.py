@@ -186,36 +186,28 @@ def hyperedge_path(game: Game, start: Vertex, goal: Vertex) -> tuple[int, ...]:
     if start == goal:
         return ()
 
-    def contains(i, v):
-        return game.clauses[i].questions[v[0]] == v[1]
-
     by_vertex: dict[Vertex, list[int]] = {}
     for i, c in enumerate(game.clauses):
         for v in enumerate(c.questions):
             by_vertex.setdefault(v, []).append(i)
-    sources = by_vertex.get(start, [])
-    prev: dict[int, int | None] = dict.fromkeys(sources)
-    queue = deque(sources)
-    end = None
-    for i in sources:
-        if contains(i, goal):
-            end = i
-            break
-    while queue and end is None:
+    prev: dict[int, int | None] = dict.fromkeys(by_vertex.get(start, []))
+    queue = deque(prev)
+    # The goal is tested on dequeue: the queue keeps discovery order, so the
+    # first goal clause dequeued is the first discovered, its path fixed then.
+    while queue:
         i = queue.popleft()
+        if game.clauses[i].questions[goal[0]] == goal[1]:
+            break
         # Neighbours are listed only for the clauses the search reaches.
         for j in sorted({j for v in enumerate(game.clauses[i].questions)
                          for j in by_vertex[v] if j != i}):
             if j not in prev:
                 prev[j] = i
-                if contains(j, goal):
-                    end = j
-                    break
                 queue.append(j)
-    if end is None:
+    else:
         raise ValueError(f"no path between {start} and {goal}")
     path = []
-    cur: int | None = end
+    cur: int | None = i
     while cur is not None:
         path.append(cur)
         cur = prev[cur]

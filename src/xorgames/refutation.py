@@ -8,9 +8,11 @@ residue on player 3 then lies in the pair-commutator subgroup, is decomposed
 into conjugated pair commutators by transposition recording, and is cancelled
 against a word assembled from commutators of the two pair right inverses,
 with gadget words inserted so that the two assemblies agree on every player.
-Every stage is an exact group identity, checked before proceeding; clause
-words are carried as index sequences throughout so membership in the clause
-subgroup is manifest. Each letter of the final word is reduced once: a stage
+Every stage is an exact group identity, checked before proceeding: a failed
+check is a bug and raises AssertionError, while a word outgrowing the cap is
+a construction limit and raises WordLengthCapExceeded. Clause words are
+carried as index sequences throughout so membership in the clause subgroup
+is manifest. Each letter of the final word is reduced once: a stage
 reduces only the piece it appends and multiplies that normal form onto the
 one it carries.
 
@@ -33,11 +35,9 @@ from .words import (
 DEFAULT_CAP = 10**6
 
 
-class PipelineError(RuntimeError):
-    """An exact intermediate identity failed; indicates a bug, not bad input."""
+class WordLengthCapExceeded(RuntimeError):
+    """A construction stage outgrew the clause-word cap: a limit, not a bug."""
 
-
-class WordLengthCapExceeded(PipelineError):
     def __init__(self, stage: str, length: int, cap: int):
         super().__init__(f"{stage}: clause word length {length} exceeds cap {cap}")
         self.stage = stage
@@ -63,7 +63,7 @@ class CommutatorEntry:
     pair2: tuple[int, int]
 
 
-def decompose_pair_commutators(letters, budget: int | None = None) -> list[CommutatorEntry]:
+def decompose_pair_commutators(letters, budget: int) -> list[CommutatorEntry]:
     """Write an even parity-trivial one-player word as an exact product of
     conjugated pair commutators.
 
@@ -100,10 +100,8 @@ def decompose_pair_commutators(letters, budget: int | None = None) -> list[Commu
                         pair2=(c, b),
                     )
                     spent += 2 * len(entry.conj) + 8
-                    if budget is not None and spent > budget:
-                        raise WordLengthCapExceeded(
-                            "commutator decomposition", spent, budget
-                        )
+                    if spent > budget:
+                        raise WordLengthCapExceeded("commutator decomposition", spent, budget)
                     if j % 2 == 0:
                         left.append(entry)
                     else:
@@ -145,14 +143,11 @@ class Homomorphisms:
         if not build_hypergraph(game).is_connected():
             raise ValueError("pipeline requires a connected clause hypergraph")
         self.game = game
-        self.simple: list[list[int | None]] = [
-            [None] * game.alphabet for _ in range(3)
-        ]
+        self.simple: list[dict[int, int]] = [{}, {}, {}]
         for i, c in enumerate(game.clauses):
-            for a, q in enumerate(c.questions):
-                if self.simple[a][q] is None:
-                    self.simple[a][q] = i
-        asked = [sorted({c.questions[a] for c in game.clauses}) for a in range(3)]
+            for table, q in zip(self.simple, c.questions):
+                table.setdefault(q, i)
+        asked = [sorted(table) for table in self.simple]
         self.pair = {(a, b): PairGraph(game, a, b) for a, b in ((1, 0), (2, 0), (2, 1))}
         self.paths = {
             (a, b): {q: pg.path_word((a, q)) for q in asked[a]}
@@ -174,13 +169,9 @@ class Homomorphisms:
         }
 
     def phi_simple(self, player: int, letters) -> tuple[int, ...]:
-        indices = []
-        for q in letters:
-            i = self.simple[player][q] if 0 <= q < self.game.alphabet else None
-            if i is None:
-                raise ValueError(f"question {q + 1} never asked of player {player + 1}")
-            indices.append(i)
-        return tuple(indices)
+        """Right inverse of the player projection, letter by letter. A
+        question the player is never asked raises KeyError."""
+        return tuple(map(self.simple[player].__getitem__, letters))
 
     def phi_pair(self, alpha: int, beta: int, letters) -> tuple[int, ...]:
         """Right inverse of the alpha projection that kills the image in
@@ -211,9 +202,9 @@ class Homomorphisms:
         red = multiply(red, reduce_clause_word(self.game, clear2))
         w += clear1 + clear2
         if red.per_player[0] or red.per_player[1]:
-            raise PipelineError("preprocess failed to clear players 1 and 2")
+            raise AssertionError("preprocess failed to clear players 1 and 2")
         if not abelianize_clause_word(self.game, w).is_sign():
-            raise PipelineError("preprocess broke the abelian image")
+            raise AssertionError("preprocess broke the abelian image")
         return w, red
 
 
@@ -233,7 +224,7 @@ def construct_sigma_word(
 
     y1 = red.per_player[2]
     if not is_parity_trivial(y1):
-        raise PipelineError("player-3 residue not parity-trivial after preprocess")
+        raise AssertionError("player-3 residue not parity-trivial after preprocess")
     entries = decompose_pair_commutators(y1, budget=cap)
 
     # `red` stays the normal form of `w`: normal forms are unique, so the
@@ -241,12 +232,12 @@ def construct_sigma_word(
     for beta, stage in enumerate(("first gadget stage", "second gadget stage")):
         y = red.per_player[2]
         if beta and not is_parity_trivial(y):  # y1 was checked above
-            raise PipelineError("player-3 residue escaped the commutator subgroup")
+            raise AssertionError("player-3 residue escaped the commutator subgroup")
         piece = hom.phi_pair(2, beta, y)[::-1] + hom.f_map(beta, y)
         w = guard(stage, w + piece)
         red = multiply(red, reduce_clause_word(game, piece))
         if red.per_player[0] or red.per_player[1]:
-            raise PipelineError(f"players 1, 2 reappeared after the {stage}")
+            raise AssertionError(f"players 1, 2 reappeared after the {stage}")
 
     # Entries are popped as they are assembled, so each conjugator copy is
     # freed once used.
@@ -264,9 +255,9 @@ def construct_sigma_word(
 
     red4 = reduce_clause_word(game, pieces)
     if red4.per_player[0] or red4.per_player[1] or red4.sigma:
-        raise PipelineError("assembled commutator word leaks outside player 3")
+        raise AssertionError("assembled commutator word leaks outside player 3")
     if red4.per_player[2] != red.per_player[2]:
-        raise PipelineError("assembled word does not match the player-3 residue")
+        raise AssertionError("assembled word does not match the player-3 residue")
 
     # final = w . pieces^-1, built in the list that holds the pieces.
     pieces.reverse()
@@ -274,7 +265,7 @@ def construct_sigma_word(
     final = guard("final word", tuple(pieces))
     del pieces
     if multiply(red, inverse(red4)) != GroupWord.sign(3):
-        raise PipelineError("final clause word does not reduce to the sign element")
+        raise AssertionError("final clause word does not reduce to the sign element")
     return RefutationCertificate(z=tuple(int(x) for x in z), sigma_word=final)
 
 

@@ -104,7 +104,8 @@ def reduce_clause_word(game: Game, cw: Sequence[int]) -> GroupWord:
     Clauses are involutions, so adjacent equal clause indices then cancel
     (each player's letter cancels and the two parities sum to an even
     number); each player's column of the shortened word streams through
-    one free reduction, and the sign is the parity of the clause parities.
+    one free reduction, in GroupWord, and the sign is the parity of the
+    clause parities.
     """
     if cw:
         low, high = min(cw), max(cw)
@@ -117,10 +118,7 @@ def reduce_clause_word(game: Game, cw: Sequence[int]) -> GroupWord:
     clauses = game.clauses
     columns = [tuple(c.questions[a] for c in clauses) for a in range(game.players)]
     parities = tuple(c.parity for c in clauses)
-    return GroupWord(
-        tuple(reduce_letters(gather(column)) for column in columns),
-        sum(gather(parities)),
-    )
+    return GroupWord(tuple(map(gather, columns)), sum(gather(parities)))
 
 
 def canon_letters(letters) -> tuple[int, ...]:

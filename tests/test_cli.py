@@ -609,6 +609,23 @@ def test_failed_self_check_exits_70_with_one_line(tmp_path, capsys, monkeypatch,
     assert not cert.exists()
 
 
+def test_failed_refutation_check_exits_70_with_one_line(tmp_path, capsys, monkeypatch):
+    # A failed stage identity of the refutation is a bug, reported like any
+    # other self-check and not as a cap abort.
+    monkeypatch.setattr("xorgames.refutation.is_parity_trivial", lambda letters: False)
+    game = tmp_path / "pair.txt"
+    game.write_text(PAIR_TEXT)
+    cert = tmp_path / "cert.json"
+    code, out, err = run(capsys, "decide", str(game), "--out", str(cert))
+    assert code == 70
+    assert err == (
+        "error: internal check failed:"
+        " player-3 residue not parity-trivial after preprocess\n"
+    )
+    assert "verdict:" not in out
+    assert not cert.exists()
+
+
 # sha256 of `export-graph` stdout for `gen -k 3 -n 12 -m 60 --seed 1`: the
 # hypergraph (pair None) and every ordered player pair, recorded while the
 # component labelling was a breadth-first flood.

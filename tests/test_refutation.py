@@ -7,6 +7,7 @@ from xorgames.decider import abelianize_clause_word, check_obstruction, decide, 
 from xorgames.games import generate_random_game, make_game, parse_text
 from xorgames.graphs import build_hypergraph, decompose_components
 from xorgames.refutation import (
+    DEFAULT_CAP,
     Homomorphisms,
     construct_sigma_word,
     decompose_pair_commutators,
@@ -76,10 +77,11 @@ def test_simple_right_inverse_empty():
 
 def test_simple_right_inverse_unasked_question():
     hom = Homomorphisms(GHZ)
-    with pytest.raises(ValueError):
-        hom.phi_simple(0, (7,))
+    for q in (7, -1):
+        with pytest.raises(KeyError):
+            hom.phi_simple(0, (q,))
     padded = parse_text("# alphabet: 2\n1 1 1 0\n1 1 1 1")
-    with pytest.raises(ValueError):
+    with pytest.raises(KeyError):
         Homomorphisms(padded).phi_simple(0, (1,))
 
 
@@ -332,7 +334,7 @@ def test_compose_f_matches_on_commutator_entries():
     for game in connected_games(rng, 20, alphabet=5, max_clauses=15, member=True):
         hom = Homomorphisms(game)
         _, red = hom.preprocess(witness_clause_word(game, decide(game).obstruction_z))
-        for entry in decompose_pair_commutators(red.per_player[2]):
+        for entry in decompose_pair_commutators(red.per_player[2], budget=DEFAULT_CAP):
             for letters in (entry.conj, entry.pair1, entry.pair2):
                 assert hom.compose_f(letters) == whole_word_compose_f(game, hom, letters)
             conjugators += bool(entry.conj)
@@ -374,7 +376,7 @@ def test_refutation_builds_the_hypergraph_once(monkeypatch):
 
 def test_decompose_tiny_commutator():
     letters = (0, 1, 2, 0, 1, 2)  # [x0 x1, x2 x1]
-    entries = decompose_pair_commutators(letters)
+    entries = decompose_pair_commutators(letters, budget=DEFAULT_CAP)
     prod = GroupWord.identity(1)
     for e in entries:
         prod = multiply(prod, GroupWord((commutator_entry_letters(e),)))
@@ -394,7 +396,7 @@ def test_decompose_remultiplies_exactly():
             letters.extend((a, b))
         if not is_parity_trivial(letters):
             continue
-        entries = decompose_pair_commutators(letters)
+        entries = decompose_pair_commutators(letters, budget=DEFAULT_CAP)
         prod = GroupWord.identity(1)
         for e in entries:
             assert len(e.conj) % 2 == 0
@@ -405,13 +407,21 @@ def test_decompose_remultiplies_exactly():
 
 def test_decompose_rejects_nontrivial_input():
     with pytest.raises(ValueError):
-        decompose_pair_commutators((0, 1))
+        decompose_pair_commutators((0, 1), budget=DEFAULT_CAP)
     with pytest.raises(ValueError):
-        decompose_pair_commutators((0, 1, 2))
+        decompose_pair_commutators((0, 1, 2), budget=DEFAULT_CAP)
+
+
+def test_decompose_budget_aborts_with_the_cap_diagnostic():
+    letters = (0, 1, 2, 0, 1, 2)  # one swap under a 2-letter conjugator: 12 letters
+    assert len(decompose_pair_commutators(letters, budget=12)) == 1
+    with pytest.raises(WordLengthCapExceeded) as err:
+        decompose_pair_commutators(letters, budget=11)
+    assert str(err.value) == "commutator decomposition: clause word length 12 exceeds cap 11"
 
 
 def test_decompose_empty():
-    assert decompose_pair_commutators(()) == []
+    assert decompose_pair_commutators((), budget=DEFAULT_CAP) == []
 
 
 # --- full pipeline -------------------------------------------------------
