@@ -43,13 +43,7 @@ from .merp import (
     solve_merp,
     verify_merp_symbolic,
 )
-from .oracle import (
-    ClassicalResult,
-    SearchStatus,
-    SigmaSearchResult,
-    bounded_sigma_search,
-    classical_value,
-)
+from .oracle import ClassicalResult, classical_value
 from .refutation import (
     Homomorphisms,
     RefutationCertificate,
@@ -60,8 +54,6 @@ from .refutation import (
 )
 from .words import (
     GroupWord,
-    canon_letters,
-    clause_to_word,
     commutator,
     inverse,
     is_parity_trivial,

@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: decide, verify, simulate, classical, canon, export-graph, gen.
+Subcommands: decide, verify, simulate, classical, export-graph, gen.
 All output is deterministic for fixed inputs and seeds; certificates are
 re-verified before any verdict is printed and verification failure is a hard
 error, never a downgraded verdict.
@@ -10,7 +10,8 @@ Exit codes: 0 verdict PERFECT or CLASSICALLY_PERFECT (or verify pass),
 `classical`'s size limit, 65 unreadable, malformed or too deeply nested input,
 66 certificate/game mismatch, 70 internal error (a re-verification or any
 other exact self-check failing, or a refutation outgrowing `--cap`; always
-reported as one `error:` line), 71 out of memory.
+reported as one `error:` line), 71 out of memory, 73 an output path that
+cannot be written (one `error:` line; `decide` then prints no verdict).
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from .games import Game, GameFormatError, generate_random_game, parse_game, seri
 from .graphs import PairGraph, decompose_components, hypergraph_dot, pair_graph_dot
 from .merp import MerpStrategy
 from .refutation import DEFAULT_CAP, WordLengthCapExceeded, refute
-from .words import GroupWord, canon_letters, reduce_clause_word
+from .words import GroupWord, reduce_clause_word
 
 EX_USAGE = 64
 EX_DATA = 65
 EX_MISMATCH = 66
 EX_INTERNAL = 70
 EX_RESOURCE = 71
+EX_CANTCREAT = 73
 
 
 class CliError(Exception):
@@ -58,12 +60,19 @@ def _load_game(path: str) -> Game:
         raise CliError(f"bad game: {e}", EX_DATA) from None
 
 
+def _write_file(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e}", EX_CANTCREAT) from None
+
+
 def _write_output(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(path, text)
 
 
 def _certificate_header(game: Game) -> dict:
@@ -75,8 +84,7 @@ def _certificate_header(game: Game) -> dict:
 
 
 def _dump_certificate(obj: dict, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_file(path, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def cmd_decide(args) -> int:
@@ -246,16 +254,6 @@ def cmd_classical(args) -> int:
     return 0
 
 
-def cmd_canon(args) -> int:
-    letters = [x - 1 for x in args.letters]
-    if any(x < 0 for x in letters):
-        raise CliError("letters are 1-based question indices", EX_DATA)
-    if len(letters) < 3:
-        raise CliError("canonical form needs at least 3 letters", EX_DATA)
-    print(" ".join(str(x + 1) for x in canon_letters(letters)))
-    return 0
-
-
 def cmd_export_graph(args) -> int:
     game = _load_game(args.game)
     if args.pair:
@@ -322,10 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classical", help="exact classical value by brute force")
     p.add_argument("game", help="game file, or '-' for stdin")
     p.set_defaults(func=cmd_classical)
-
-    p = sub.add_parser("canon", help="canonical form of a one-player word")
-    p.add_argument("letters", type=int, nargs="+", help="1-based question indices")
-    p.set_defaults(func=cmd_canon)
 
     p = sub.add_parser("export-graph", help="DOT export of the clause graphs")
     p.add_argument("game", help="game file, or '-' for stdin")

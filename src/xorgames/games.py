@@ -140,11 +140,9 @@ def parse_json(text: str) -> Game:
     return game
 
 
-def parse_game(data) -> Game:
-    """Parse a game from text or JSON bytes/str: JSON when its first non-blank
+def parse_game(data: str) -> Game:
+    """Parse a game from text or JSON: JSON when its first non-blank
     character is '{', text otherwise."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     if data.lstrip().startswith("{"):
         return parse_json(data)
     return parse_text(data)

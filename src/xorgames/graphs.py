@@ -27,7 +27,6 @@ Vertex = tuple[int, int]  # (player, question), 0-based
 class ClauseHypergraph:
     game: Game
     component_id: dict[Vertex, int]
-    num_components: int
 
     def clause_component(self, i: int) -> int:
         return self.component_id[(0, self.game.clauses[i].questions[0])]
@@ -39,7 +38,7 @@ class ClauseHypergraph:
         return len(comps) == 1
 
 
-def _components(vertices, edges) -> tuple[dict[Vertex, int], int]:
+def _components(vertices, edges) -> dict[Vertex, int]:
     """Union-find labelling of the vertices joined by the edges, each an
     iterable of vertices; components are numbered by their smallest vertex."""
     parent = {v: v for v in vertices}
@@ -55,25 +54,23 @@ def _components(vertices, edges) -> tuple[dict[Vertex, int], int]:
         for v in rest:
             parent[find(v)] = root
     number: dict[Vertex, int] = {}
-    component_id = {v: number.setdefault(find(v), len(number)) for v in sorted(parent)}
-    return component_id, len(number)
+    return {v: number.setdefault(find(v), len(number)) for v in sorted(parent)}
 
 
 def build_hypergraph(game: Game) -> ClauseHypergraph:
-    component_id, num_components = _components(
+    component_id = _components(
         ((a, q) for a in range(game.players) for q in range(game.alphabet)),
         (enumerate(c.questions) for c in game.clauses),
     )
-    return ClauseHypergraph(game=game, component_id=component_id, num_components=num_components)
+    return ClauseHypergraph(game=game, component_id=component_id)
 
 
 @dataclass(frozen=True)
 class ComponentGame:
-    """One connected piece, with maps back to the original instance."""
+    """One connected piece, with its map back to the original clauses."""
 
     game: Game
     clause_map: tuple[int, ...]  # new clause index -> original clause index
-    question_map: tuple[tuple[int, ...], ...]  # [player][new q] -> original q
 
     def lift(self, num_clauses: int, z, sigma_word=()) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """A certificate of this component in the original clause indices:
@@ -109,7 +106,6 @@ def decompose_components(game: Game) -> list[ComponentGame]:
             ComponentGame(
                 game=Game(players=game.players, alphabet=alphabet, clauses=clauses),
                 clause_map=tuple(indices),
-                question_map=tuple(tuple(qs) for qs in used),
             )
         )
     return out
@@ -132,7 +128,7 @@ class PairGraph:
         self.beta = beta
         vertices = [(side, q) for side in (alpha, beta) for q in range(game.alphabet)]
         edges = [((alpha, c.questions[alpha]), (beta, c.questions[beta])) for c in game.clauses]
-        self.component_id, self.num_components = _components(vertices, edges)
+        self.component_id = _components(vertices, edges)
 
         self.representative: dict[int, Vertex] = {}
         for v in sorted(vertices):

@@ -1,24 +1,19 @@
 """Brute-force ground truth at desk scale.
 
-Exact classical values by Gray-code enumeration of all +-1 assignments,
-GF(2) solvability of the clause system, and a breadth-first search for an
-explicit clause product equal to the sign element. These are the cross-checks
-the property suites lean on. `classical_value` and `gf2_solve` share no code
-with the polynomial-time paths they validate. `bounded_sigma_search` does:
-it multiplies with `words.GroupWord`, `multiply` and `clause_to_word`, so it
-reuses the normal form (`reduce_letters`) that the refutation check uses, and
-independently searches only over which clause products to form.
+Exact classical values by Gray-code enumeration of all +-1 assignments
+(`classical_value`, behind the `classical` subcommand), and GF(2)
+solvability of the clause system (`gf2_solve`, also `decide`'s test for
+classical perfectness). Neither shares code with the polynomial-time paths
+the tests check against them: the integer decider, the phase solver and
+the refutation.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .games import Game
-from .words import GroupWord, clause_to_word, multiply
 
 
 @dataclass(frozen=True)
@@ -117,53 +112,3 @@ def gf2_solve(game: Game) -> tuple[int, ...] | None:
         if acc != rhs:
             raise AssertionError("GF(2) solution fails the clause system")
     return tuple(bits)
-
-
-class SearchStatus(Enum):
-    FOUND = "found"
-    NOT_FOUND = "not_found"
-    CAP_EXCEEDED = "cap_exceeded"
-
-
-@dataclass(frozen=True)
-class SigmaSearchResult:
-    status: SearchStatus
-    word: tuple[int, ...] | None = None
-
-
-def bounded_sigma_search(game: Game, max_len: int, cap: int = 10**6) -> SigmaSearchResult:
-    """Breadth-first search over clause products, deduplicated by normal
-    form, for an explicit product equal to the sign element.
-
-    FOUND comes with a shortest witness; NOT_FOUND is conclusive only up to
-    max_len; CAP_EXCEEDED reports that the visited set outgrew `cap` before
-    the depth limit was exhausted.
-    """
-    identity = GroupWord.identity(game.players)
-    target = GroupWord.sign(game.players)
-    gens = [clause_to_word(game, i) for i in range(game.num_clauses)]
-    parent: dict[GroupWord, tuple[GroupWord, int] | None] = {identity: None}
-
-    def backtrack(state) -> tuple[int, ...]:
-        indices = []
-        while parent[state] is not None:
-            state, i = parent[state]
-            indices.append(i)
-        return tuple(reversed(indices))
-
-    frontier = deque([(identity, 0)])
-    while frontier:
-        state, depth = frontier.popleft()
-        if depth >= max_len:
-            continue
-        for i, g in enumerate(gens):
-            nxt = multiply(state, g)
-            if nxt in parent:
-                continue
-            parent[nxt] = (state, i)
-            if nxt == target:
-                return SigmaSearchResult(SearchStatus.FOUND, backtrack(nxt))
-            if len(parent) > cap:
-                return SigmaSearchResult(SearchStatus.CAP_EXCEEDED)
-            frontier.append((nxt, depth + 1))
-    return SigmaSearchResult(SearchStatus.NOT_FOUND)

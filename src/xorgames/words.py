@@ -85,13 +85,6 @@ def inverse(w: GroupWord) -> GroupWord:
     return GroupWord(tuple(seq[::-1] for seq in w.per_player), w.sigma)
 
 
-def clause_to_word(game: Game, i: int) -> GroupWord:
-    if not 0 <= i < game.num_clauses:
-        raise IndexError(f"clause index {i} out of range")
-    c = game.clauses[i]
-    return GroupWord(tuple((q,) for q in c.questions), c.parity)
-
-
 def commutator(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return (*a, *b, *a[::-1], *b[::-1])
 
@@ -121,38 +114,11 @@ def reduce_clause_word(game: Game, cw: Sequence[int]) -> GroupWord:
     return GroupWord(tuple(map(gather, columns)), sum(gather(parities)))
 
 
-def canon_letters(letters) -> tuple[int, ...]:
-    """Canonical representative of a one-player word up to pair-commutation.
-
-    Split into odd/even position sublists (position 1 is odd), cancel each
-    letter's minority occurrences across the two sublists, sort both, and
-    interleave odd-first. Positions-preserving transpositions and free
-    cancellation both leave the result unchanged; for words of length >= 3
-    it is a complete invariant of the quotient by the pair-commutator
-    subgroup.
-    """
-    odd = [letters[i] for i in range(0, len(letters), 2)]
-    even = [letters[i] for i in range(1, len(letters), 2)]
-    odd_count, even_count = Counter(odd), Counter(even)
-    odd_kept, even_kept = [], []
-    for v in sorted(set(odd) | set(even)):
-        drop = min(odd_count[v], even_count[v])
-        odd_kept.extend([v] * (odd_count[v] - drop))
-        even_kept.extend([v] * (even_count[v] - drop))
-    out = []
-    for i in range(max(len(odd_kept), len(even_kept))):
-        if i < len(odd_kept):
-            out.append(odd_kept[i])
-        if i < len(even_kept):
-            out.append(even_kept[i])
-    return tuple(out)
-
-
 def is_parity_trivial(letters) -> bool:
     """True iff the one-player word cancels to nothing up to pair-commutation.
 
     For even-length words this is exactly membership in the pair-commutator
     subgroup: every letter occurs equally often at odd and even positions.
     """
-    return not canon_letters(letters)
+    return Counter(letters[0::2]) == Counter(letters[1::2])
 

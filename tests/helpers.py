@@ -1,7 +1,12 @@
 """Helpers the tests share that are not part of the library: they read its
 results, and no program path calls them."""
 
+from collections import Counter, deque
+from dataclasses import dataclass
+from enum import Enum
+
 from xorgames.merp import _matmul, merp_observable
+from xorgames.words import GroupWord, multiply, reduce_clause_word
 
 
 def observables_pairwise_commute(thetas, tol: float = 1e-12) -> bool:
@@ -23,3 +28,83 @@ def commutator_entry_letters(entry) -> tuple[int, ...]:
     a, b = entry.pair1
     c, d = entry.pair2
     return entry.conj + (a, b, c, d, b, a, d, c) + entry.conj[::-1]
+
+
+def canon_letters(letters) -> tuple[int, ...]:
+    """Canonical representative of a one-player word up to pair-commutation.
+
+    Split into odd/even position sublists (position 1 is odd), cancel each
+    letter's minority occurrences across the two sublists, sort both, and
+    interleave odd-first. Positions-preserving transpositions and free
+    cancellation both leave the result unchanged; for words of length >= 3
+    it is a complete invariant of the quotient by the pair-commutator
+    subgroup. It is empty exactly when `words.is_parity_trivial` holds,
+    which the tests check against it.
+    """
+    odd = [letters[i] for i in range(0, len(letters), 2)]
+    even = [letters[i] for i in range(1, len(letters), 2)]
+    odd_count, even_count = Counter(odd), Counter(even)
+    odd_kept, even_kept = [], []
+    for v in sorted(set(odd) | set(even)):
+        drop = min(odd_count[v], even_count[v])
+        odd_kept.extend([v] * (odd_count[v] - drop))
+        even_kept.extend([v] * (even_count[v] - drop))
+    out = []
+    for i in range(max(len(odd_kept), len(even_kept))):
+        if i < len(odd_kept):
+            out.append(odd_kept[i])
+        if i < len(even_kept):
+            out.append(even_kept[i])
+    return tuple(out)
+
+
+class SearchStatus(Enum):
+    FOUND = "found"
+    NOT_FOUND = "not_found"
+    CAP_EXCEEDED = "cap_exceeded"
+
+
+@dataclass(frozen=True)
+class SigmaSearchResult:
+    status: SearchStatus
+    word: tuple[int, ...] | None = None
+
+
+def bounded_sigma_search(game, max_len: int, cap: int = 10**6) -> SigmaSearchResult:
+    """Breadth-first search over clause products, deduplicated by normal
+    form, for an explicit product equal to the sign element.
+
+    FOUND comes with a shortest witness; NOT_FOUND is conclusive only up to
+    max_len; CAP_EXCEEDED reports that the visited set outgrew `cap` before
+    the depth limit was exhausted. It reuses the library's normal form
+    (`GroupWord`, `multiply`) and searches independently only over which
+    clause products to form.
+    """
+    identity = GroupWord.identity(game.players)
+    target = GroupWord.sign(game.players)
+    gens = [reduce_clause_word(game, (i,)) for i in range(game.num_clauses)]
+    parent: dict[GroupWord, tuple[GroupWord, int] | None] = {identity: None}
+
+    def backtrack(state) -> tuple[int, ...]:
+        indices = []
+        while parent[state] is not None:
+            state, i = parent[state]
+            indices.append(i)
+        return tuple(reversed(indices))
+
+    frontier = deque([(identity, 0)])
+    while frontier:
+        state, depth = frontier.popleft()
+        if depth >= max_len:
+            continue
+        for i, g in enumerate(gens):
+            nxt = multiply(state, g)
+            if nxt in parent:
+                continue
+            parent[nxt] = (state, i)
+            if nxt == target:
+                return SigmaSearchResult(SearchStatus.FOUND, backtrack(nxt))
+            if len(parent) > cap:
+                return SigmaSearchResult(SearchStatus.CAP_EXCEEDED)
+            frontier.append((nxt, depth + 1))
+    return SigmaSearchResult(SearchStatus.NOT_FOUND)

@@ -15,11 +15,16 @@ from xorgames.games import generate_random_game, make_game, parse_text
 from xorgames.graphs import decompose_components, gadget_word
 from xorgames.intlinalg import IntMatrix, smith_normal_form
 from xorgames.merp import analytic_merp_value, simulate_merp_value, solve_merp, verify_merp_symbolic
-from xorgames.oracle import SearchStatus, bounded_sigma_search, classical_value
+from xorgames.oracle import classical_value
 from xorgames.refutation import Homomorphisms, construct_sigma_word
-from xorgames.words import GroupWord, canon_letters, reduce_clause_word, reduce_letters
+from xorgames.words import GroupWord, is_parity_trivial, reduce_clause_word, reduce_letters
 
-from helpers import observables_pairwise_commute
+from helpers import (
+    SearchStatus,
+    bounded_sigma_search,
+    canon_letters,
+    observables_pairwise_commute,
+)
 
 GHZ = parse_text("1 1 1 0\n1 2 2 1\n2 1 2 1\n2 2 1 1")
 CHSH = parse_text("1 1 1\n2 1 0\n1 2 0\n2 2 0")
@@ -226,6 +231,26 @@ def test_criterion_7_algebraic_property_suites():
         letters = [rng.randrange(5) for _ in range(rng.randrange(3, 10))]
         assert canon_letters(letters) == canon_letters(_parity_shuffled(rng, letters))
 
+    # parity-trivial invariance: 1000 parity-preserving permutations, every
+    # other word built parity-trivial. Its own stream keeps the samples
+    # below as they were.
+    trivial_rng = random.Random(20249)
+    trivial = 0
+    for n in range(1000):
+        if n % 2:
+            half = [trivial_rng.randrange(5) for _ in range(trivial_rng.randrange(2, 6))]
+            odd, even = half[:], half[:]
+            trivial_rng.shuffle(odd)
+            trivial_rng.shuffle(even)
+            letters = [x for pair in zip(odd, even) for x in pair]
+            assert is_parity_trivial(letters)
+        else:
+            letters = [trivial_rng.randrange(5) for _ in range(trivial_rng.randrange(3, 10))]
+        shuffled = _parity_shuffled(trivial_rng, letters)
+        assert is_parity_trivial(shuffled) == is_parity_trivial(letters)
+        trivial += is_parity_trivial(letters)
+    assert trivial >= 500
+
     # A1 / A2 of the pair right inverses: 500 sampled words
     games = _connected_stream(rng, 25)
     a_checked = 0
@@ -337,7 +362,8 @@ def test_criterion_7_algebraic_property_suites():
 
     print(
         "PASS criterion 7: algebraic property suites "
-        f"(canon x1000, A x{a_checked}, B x{b_checked}, C x{c_checked}, "
+        f"(canon x1000, parity-trivial x1000 ({trivial} trivial), "
+        f"A x{a_checked}, B x{b_checked}, C x{c_checked}, "
         "observables x100, smith x500)"
     )
 

@@ -481,22 +481,23 @@ def test_classical_prints_fraction(capsys, ghz_file):
     assert out.splitlines()[0] == "3/4"
 
 
-def test_canon(capsys):
-    code, out, _ = run(capsys, "canon", "3", "1", "2", "1", "1")
-    assert code == 0
-    assert out.strip()  # 1-based canonical word
-    code2, _, err = run(capsys, "canon", "1", "2")
-    assert code2 == 65
+def test_canon_command_is_gone(capsys):
+    # The one-player canonical form reaches no certificate; it lives on as
+    # the tests' reference (helpers.canon_letters).
+    assert main(["canon", "1", "2", "3"]) == 64
 
 
-def test_canon_matches_library(capsys):
-    from xorgames.words import canon_letters
-
-    code, out, _ = run(capsys, "canon", "2", "7", "1", "2", "3", "4", "6", "2", "2")
-    expected = " ".join(
-        str(x + 1) for x in canon_letters([1, 6, 0, 1, 2, 3, 5, 1, 1])
-    )
-    assert out.strip() == expected
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+@pytest.mark.parametrize("command", ["decide", "gen", "export-graph"])
+def test_unwritable_output_exits_73_with_one_line(tmp_path, capsys, ghz_file, command, target):
+    out = tmp_path / "missing" / "out.txt" if target == "missing_dir" else tmp_path
+    argv = {"decide": [ghz_file], "gen": [], "export-graph": [ghz_file]}[command]
+    code, stdout, err = run(capsys, command, *argv, "--out", str(out))
+    assert code == 73
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err and "verdict:" not in stdout
+    assert not (tmp_path / "missing").exists()
 
 
 def test_export_graph_dot(capsys, ghz_file):

@@ -98,7 +98,7 @@ def test_json_rejects_wrong_types(case):
 def test_parse_game_autodetect():
     game = parse_text(GHZ_TEXT)
     assert parse_game(serialize_json(game)) == game
-    assert parse_game(serialize_text(game).encode()) == game
+    assert parse_game(serialize_text(game)) == game
 
 
 def test_generate_random_game_is_pure():

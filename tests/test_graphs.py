@@ -55,7 +55,7 @@ GHZ = parse_text("1 1 1 0\n1 2 2 1\n2 1 2 1\n2 2 1 1")
 
 def test_sample_hypergraph_connected():
     hg = build_hypergraph(SAMPLE_A)
-    assert hg.num_components == 1
+    assert len(set(hg.component_id.values())) == 1
     assert hg.is_connected()
 
 
@@ -67,7 +67,7 @@ def test_sample_pair_graph_23_matches_edge_list():
     assert edges == sorted(
         [(1, 1), (2, 1), (2, 2), (3, 3), (3, 4), (4, 4), (4, 3), (4, 4), (6, 5), (5, 5), (6, 6)]
     )
-    assert pg.num_components == 3
+    assert len(set(pg.component_id.values())) == 3
 
 
 def test_sample_pair_component_grouping():
@@ -87,7 +87,7 @@ def test_single_clause_components():
     game = parse_text("# alphabet: 3\n1 1 1 0")
     hg = build_hypergraph(game)
     # one clause component plus (N-1)*k isolated vertices
-    assert hg.num_components == 1 + 2 * 3
+    assert len(set(hg.component_id.values())) == 1 + 2 * 3
     comps = decompose_components(game)
     assert len(comps) == 1
     assert comps[0].game.alphabet == 1
@@ -111,7 +111,12 @@ def test_decompose_two_disjoint_copies():
     assert comps[0].game == comps[1].game == GHZ
     assert comps[0].clause_map == (0, 1, 2, 3)
     assert comps[1].clause_map == (4, 5, 6, 7)
-    assert comps[1].question_map == ((2, 3), (2, 3), (2, 3))
+    # The second copy asks questions 3 and 4 (0-based 2 and 3) of every
+    # player; they are relabelled 0 and 1 in sorted order.
+    for j, orig in enumerate(comps[1].clause_map):
+        old = game.clauses[orig].questions
+        assert comps[1].game.clauses[j].questions == tuple(q - 2 for q in old)
+        assert all(q in (2, 3) for q in old)
 
 
 def test_decompose_preserves_clause_multiset():
@@ -124,12 +129,16 @@ def test_decompose_preserves_clause_multiset():
         seen = sorted(i for comp in comps for i in comp.clause_map)
         assert seen == list(range(game.num_clauses))
         for comp in comps:
+            # Each player's asked questions, relabelled in sorted order.
+            asked = [sorted({game.clauses[i].questions[a] for i in comp.clause_map})
+                     for a in range(3)]
+            assert comp.game.alphabet == max(map(len, asked))
             for j, orig in enumerate(comp.clause_map):
                 new_c = comp.game.clauses[j]
                 old_c = game.clauses[orig]
                 assert new_c.parity == old_c.parity
                 for a in range(3):
-                    assert comp.question_map[a][new_c.questions[a]] == old_c.questions[a]
+                    assert new_c.questions[a] == asked[a].index(old_c.questions[a])
 
 
 def test_decompose_matches_networkx_components():
@@ -186,7 +195,7 @@ def test_component_labels_match_networkx():
         expected, comps = networkx_labels(nx, vertices, edges)
         hg = build_hypergraph(game)
         assert hg.component_id == expected  # never-asked vertices included
-        assert hg.num_components == len(comps)
+        assert len(set(hg.component_id.values())) == len(comps)
         if k != 3:
             continue
         for alpha in range(3):
@@ -201,7 +210,7 @@ def test_component_labels_match_networkx():
                      for c in game.clauses],
                 )
                 assert pg.component_id == expected
-                assert pg.num_components == len(comps)
+                assert len(set(pg.component_id.values())) == len(comps)
                 assert pg.representative == {
                     n: min(v for v in comp if v[0] == beta)
                     for n, comp in enumerate(comps) if any(v[0] == beta for v in comp)

@@ -6,13 +6,10 @@ import pytest
 
 from xorgames.decider import decide
 from xorgames.games import generate_random_game, parse_text
-from xorgames.oracle import (
-    SearchStatus,
-    bounded_sigma_search,
-    classical_value,
-    gf2_solve,
-)
+from xorgames.oracle import classical_value, gf2_solve
 from xorgames.words import GroupWord, reduce_clause_word
+
+from helpers import SearchStatus, bounded_sigma_search
 
 GHZ = parse_text("1 1 1 0\n1 2 2 1\n2 1 2 1\n2 2 1 1")
 PAIR = parse_text("1 1 1 0\n1 1 1 1")

@@ -5,8 +5,6 @@ import pytest
 from xorgames.games import generate_random_game, parse_text
 from xorgames.words import (
     GroupWord,
-    canon_letters,
-    clause_to_word,
     commutator,
     inverse,
     is_parity_trivial,
@@ -14,6 +12,8 @@ from xorgames.words import (
     reduce_clause_word,
     reduce_letters,
 )
+
+from helpers import canon_letters
 
 GHZ = parse_text("1 1 1 0\n1 2 2 1\n2 1 2 1\n2 2 1 1")
 PAIR = parse_text("1 1 1 0\n1 1 1 1")
@@ -33,20 +33,20 @@ def test_normal_form_reduces_on_construction():
     assert w.sigma == 1
 
 
-def test_clause_to_word():
-    w = clause_to_word(GHZ, 1)
+def test_one_clause_word():
+    w = reduce_clause_word(GHZ, (1,))
     assert w.per_player == ((0,), (1,), (1,))
     assert w.sigma == 1
-    w0 = clause_to_word(GHZ, 0)
+    w0 = reduce_clause_word(GHZ, (0,))
     assert w0.per_player == ((0,), (0,), (0,))
     assert w0.sigma == 0
     with pytest.raises(IndexError):
-        clause_to_word(GHZ, 4)
+        reduce_clause_word(GHZ, (4,))
 
 
 def test_clauses_are_involutions():
     for i in range(GHZ.num_clauses):
-        w = clause_to_word(GHZ, i)
+        w = reduce_clause_word(GHZ, (i,))
         assert multiply(w, w) == GroupWord.identity(3)
 
 
@@ -57,8 +57,8 @@ def test_free_product_cancellation():
 
 
 def test_pair_of_contradictory_clauses_is_sigma():
-    h0 = clause_to_word(PAIR, 0)
-    h1 = clause_to_word(PAIR, 1)
+    h0 = reduce_clause_word(PAIR, (0,))
+    h1 = reduce_clause_word(PAIR, (1,))
     assert multiply(h0, h1) == GroupWord.sign(3)
 
 
@@ -89,7 +89,7 @@ def test_projections_are_homomorphisms():
 
 
 def test_projection_of_clause_word():
-    w = clause_to_word(GHZ, 1)  # (1,2,2|1)
+    w = reduce_clause_word(GHZ, (1,))  # (1,2,2|1)
     assert w.per_player[0] == (0,)
     assert GroupWord.sign(3).sigma == 1
     assert GroupWord.sign(3).per_player == ((), (), ())
@@ -331,3 +331,23 @@ def test_parity_trivial():
     assert not is_parity_trivial((0, 1, 0, 1))
     # Commutator of two pairs: a b c a b c with pairs (a,b),(c,b).
     assert is_parity_trivial((0, 1, 2, 0, 1, 2))
+
+
+def test_parity_trivial_matches_canonical_form():
+    # Against the reference canonical form: the word is parity-trivial
+    # exactly when its canonical form is empty. Every other word is built
+    # parity-trivial (one multiset on the odd and on the even positions).
+    rng = random.Random(37)
+    trivial = 0
+    for n in range(20000):
+        if n % 2:
+            half = [rng.randrange(1, 5) for _ in range(rng.randrange(7))]
+            odd, even = half[:], half[:]
+            rng.shuffle(odd)
+            rng.shuffle(even)
+            letters = tuple(x for pair in zip(odd, even) for x in pair)
+        else:
+            letters = tuple(rng.randrange(1, 5) for _ in range(rng.randrange(14)))
+        assert is_parity_trivial(letters) == (not canon_letters(letters)), letters
+        trivial += is_parity_trivial(letters)
+    assert trivial >= 10000
