@@ -6,12 +6,13 @@ re-verified before any verdict is printed and verification failure is a hard
 error, never a downgraded verdict.
 
 Exit codes: 0 verdict PERFECT or CLASSICALLY_PERFECT (or verify pass),
-1 NOT_PERFECT (or verify fail), 2 NO_PERFECT_MERP_INCONCLUSIVE, 64 usage or
-`classical`'s size limit, 65 unreadable, malformed or too deeply nested input,
-66 certificate/game mismatch, 70 internal error (a re-verification or any
-other exact self-check failing, or a refutation outgrowing `--cap`; always
-reported as one `error:` line), 71 out of memory, 73 an output path that
-cannot be written (one `error:` line; `decide` then prints no verdict).
+1 NOT_PERFECT (or verify fail), 2 NO_PERFECT_MERP_INCONCLUSIVE, 64 usage
+(`decide --out -` included) or `classical`'s size limit, 65 unreadable,
+malformed or too deeply nested input, 66 certificate/game mismatch,
+70 internal error (a re-verification or any other exact self-check failing,
+or a refutation outgrowing `--cap`; always reported as one `error:` line),
+71 out of memory, 73 an output path that cannot be written (one `error:`
+line; `decide` then prints no verdict).
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ def _dump_certificate(obj: dict, path: str):
 
 
 def cmd_decide(args) -> int:
+    if args.out == "-":
+        raise CliError("decide writes its certificate to a file; --out - is not supported", EX_USAGE)
     game = _load_game(args.game)
     components = decompose_components(game)
     outcomes = [decide(comp.game) for comp in components]
@@ -300,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="decide the game and write a certificate")
     p.add_argument("game", help="game file, or '-' for stdin")
-    p.add_argument("--out", default="certificate.json", help="certificate path")
+    p.add_argument("--out", default="certificate.json", help="certificate file path ('-' is refused)")
     p.add_argument(
         "--cap", type=_at_least(1), default=DEFAULT_CAP, metavar="N",
         help="abort refutation construction beyond N clause letters",

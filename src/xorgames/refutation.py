@@ -5,16 +5,19 @@ The pipeline mirrors the existence proof it implements. Starting from the
 witness word (which equals the sign element only up to pair-commutators),
 right inverses of the player projections clear players 1 and 2 exactly; the
 residue on player 3 then lies in the pair-commutator subgroup, is decomposed
-into conjugated pair commutators by transposition recording, and is cancelled
-against a word assembled from commutators of the two pair right inverses,
-with gadget words inserted so that the two assemblies agree on every player.
-Every stage is an exact group identity, checked before proceeding: a failed
-check is a bug and raises AssertionError, while a word outgrowing the cap is
-a construction limit and raises WordLengthCapExceeded. Clause words are
-carried as index sequences throughout so membership in the clause subgroup
-is manifest. Each letter of the final word is reduced once: a stage
-reduces only the piece it appends and multiplies that normal form onto the
-one it carries.
+into conjugated pair commutators by transposition recording (each closest
+pair of equal letters at opposite parities is swapped together and
+cancelled), and is cancelled against a word assembled from commutators of
+the two pair right inverses, with gadget words inserted so that the two
+assemblies agree on every player. Every stage is an exact group identity,
+checked before proceeding: a failed check is a bug and raises
+AssertionError, while a word outgrowing the cap is a construction limit and
+raises WordLengthCapExceeded. Clause words are carried as index sequences
+throughout so membership in the clause subgroup is manifest. Each letter of
+the assembled word is reduced once: a stage reduces only the piece it
+appends and multiplies that normal form onto the one it carries. The
+certificate is the assembled word with adjacent equal clauses cancelled,
+which is exact because clauses are involutions.
 
 Everything here requires a connected 3-player game; the driver `refute`
 handles decomposition and index mapping for general instances.
@@ -23,6 +26,7 @@ handles decomposition and index mapping for general instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .decider import abelianize_clause_word, decide, witness_clause_word
 from .games import Game
@@ -67,50 +71,66 @@ def decompose_pair_commutators(letters, budget: int) -> list[CommutatorEntry]:
     """Write an even parity-trivial one-player word as an exact product of
     conjugated pair commutators.
 
-    Bubble-sorts the odd-position and even-position sublists; each swap of
-    letters two apart is an exact multiplication by one conjugated pair
-    commutator, recorded on the left of the word when the prefix is even and
-    on the right when the suffix is (one of the two always holds). The
-    sorted word interleaves two equal sorted multisets and cancels freely,
-    so the recorded entries multiply back to the input exactly.
+    Repeatedly takes the closest pair of equal letters at opposite-parity
+    positions (ties go to the leftmost pair), moves its right letter left by
+    swaps of letters two apart until the pair is adjacent, and deletes the
+    pair, a free cancellation. Each swap is an exact multiplication by one
+    conjugated pair commutator, recorded on the left of the word when the
+    prefix is even and on the right when the suffix is (one of the two
+    always holds). Because the pair is closest, no letter between its ends
+    equals its neighbour or the moved letter, so no swap's middle letter
+    equals either end, where the swap would be exact without an entry.
+    When the word is empty, the recorded entries multiply back to the input
+    exactly.
 
-    The entry list holds a conjugator copy per swap, up to cubic in the word
-    length; `budget` caps the total recorded letters and aborts with the
-    word-length diagnostic instead of exhausting memory.
+    Each entry holds a conjugator copy as long as the word, and a pair far
+    apart takes a swap per two letters between them, so the recorded
+    letters can still grow as the cube of the word length; `budget` caps
+    them and aborts with the word-length diagnostic instead of exhausting
+    memory.
     """
     work = list(letters)
     if len(work) % 2 != 0 or not is_parity_trivial(work):
         raise ValueError("decomposition needs an even parity-trivial word")
     left: list[CommutatorEntry] = []
     right: list[CommutatorEntry] = []
-    n = len(work)
     spent = 0
-    for start in (0, 1):
-        changed = True
-        while changed:
-            changed = False
-            for j in range(start, n - 2, 2):
-                if work[j] <= work[j + 2]:
-                    continue
-                a, b, c = work[j], work[j + 1], work[j + 2]
-                if b != a and b != c:
-                    entry = CommutatorEntry(
-                        conj=tuple(work[:j]) if j % 2 == 0 else tuple(reversed(work[j + 3:])),
-                        pair1=(a, b),
-                        pair2=(c, b),
-                    )
-                    spent += 2 * len(entry.conj) + 8
-                    if spent > budget:
-                        raise WordLengthCapExceeded("commutator decomposition", spent, budget)
-                    if j % 2 == 0:
-                        left.append(entry)
-                    else:
-                        right.append(entry)  # reversed below: newest leftmost
-                work[j], work[j + 2] = c, a
-                changed = True
+    while work:
+        # One pass keeps the last position of each letter at each parity
+        # (`mine` is position p's parity); the closest partner of position p
+        # is the last one at the other parity.
+        mine: dict[int, int] = {}
+        other: dict[int, int] = {}
+        i = j = None
+        gap = len(work)
+        for p, x in enumerate(work):
+            k = other.get(x)
+            if k is not None and p - k < gap:
+                i, j, gap = k, p, p - k
+                if gap == 1:
+                    break
+            mine[x] = p
+            mine, other = other, mine
+        if j is None:
+            raise AssertionError("parity-trivial word has no pair to cancel")
+        for p in range(j, i + 1, -2):
+            a, b, c = work[p - 2], work[p - 1], work[p]
+            even_prefix = p % 2 == 0
+            entry = CommutatorEntry(
+                conj=tuple(work[:p - 2]) if even_prefix else tuple(reversed(work[p + 1:])),
+                pair1=(a, b),
+                pair2=(c, b),
+            )
+            spent += 2 * len(entry.conj) + 8
+            if spent > budget:
+                raise WordLengthCapExceeded("commutator decomposition", spent, budget)
+            if even_prefix:
+                left.append(entry)
+            else:
+                right.append(entry)  # reversed below: newest leftmost
+            work[p - 2], work[p] = c, a
+        del work[i:i + 2]
     right.reverse()
-    if reduce_letters(work):
-        raise AssertionError("sorted word failed to cancel; input not parity-trivial?")
     return left + right
 
 
@@ -259,10 +279,9 @@ def construct_sigma_word(
     if red4.per_player[2] != red.per_player[2]:
         raise AssertionError("assembled word does not match the player-3 residue")
 
-    # final = w . pieces^-1, built in the list that holds the pieces.
-    pieces.reverse()
-    pieces[:0] = w
-    final = guard("final word", tuple(pieces))
+    # final = w . pieces^-1 with adjacent equal clauses cancelled: clauses
+    # are involutions, so the cancelled word is the same group element.
+    final = guard("final word", reduce_letters(chain(w, reversed(pieces))))
     del pieces
     if multiply(red, inverse(red4)) != GroupWord.sign(3):
         raise AssertionError("final clause word does not reduce to the sign element")

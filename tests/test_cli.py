@@ -217,6 +217,20 @@ def test_decide_rejects_out_of_range_arguments(tmp_path, capsys, option, value):
     assert f"argument {option}: must be at least" in err
 
 
+@pytest.mark.parametrize("game", ["pair.txt", "missing.txt"])
+def test_decide_rejects_stdout_as_certificate_path(tmp_path, capsys, monkeypatch, game):
+    # `gen` and `export-graph` read `--out -` as stdout; `decide` prints its
+    # verdict there, so it refuses `-` before reading the game (a missing
+    # game still exits 64) and writes no file named `-`.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pair.txt").write_text(PAIR_TEXT)
+    code, out, err = run(capsys, "decide", game, "--out", "-")
+    assert code == 64
+    assert out == ""
+    assert err == "error: decide writes its certificate to a file; --out - is not supported\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.txt"]
+
+
 def test_verify_roundtrip(tmp_path, capsys, ghz_file):
     cert = str(tmp_path / "cert.json")
     run(capsys, "decide", ghz_file, "--out", cert)
@@ -534,24 +548,28 @@ def test_certificates_byte_stable(tmp_path, capsys, ghz_file):
 
 
 # sha256 of the certificate bytes `decide` writes for the 3-player game
-# generate_random_game(3, n, 5n, seed), recorded before clause words became
-# plain index tuples; any change to the refutation word shows up here.
+# generate_random_game(3, n, 5n, seed), recorded when the commutator
+# decomposition became nearest-match and the final word freely cancelled;
+# each certificate passed `verify` and `bench/checker.py` when recorded. Any
+# change to the refutation word shows up here.
 GOLDEN_REFUTATIONS = {
-    (12, 1): "daca3dff12b5d45fcd4c444426af5406821163d61539020dbad26de0ba71632f",
-    (12, 3): "9d8da1983735beadc1fa527e10e751539d8911110bb32141e364b381a0551b18",
-    (16, 1): "cd831e798a18e42827ce24933fed298a9147c38e08af07af25bdde7d667f4e06",
-    (20, 3): "f647a8c94ce6f1558da34e46ba854915054c594536751546056310d9d2841ac0",
-    # Recorded later: 762,726 bytes, the only golden word longer than 13k
-    # clauses (292,284, of which 47,292 survive cancelling adjacent pairs).
-    (24, 1): "4f67a40707baa1d263f55a913b8a981c730fc1c9134fc2918704ec38c450cca1",
+    (12, 1): "3da65aa21511ca16e52562a92878c79392fe5840e12adabdb8fcbc2d4107bba5",
+    (12, 3): "f0f9644146aa9234520b3f396bb1a1fd2224b3cbfea9380d103c8977a8139296",
+    (16, 1): "1494bdf7553289abbcbf7c0439da31657c498b6a5e98d1cd019e7e238fa2ac49",
+    (20, 3): "ec8fe6cfeac1877d888cd5570c2b9c36bdcec31dc1b49cb883b2e0cb86976f19",
+    # The three longest: 11,168, 2,304 and 6,124 clauses (32,151, 6,924
+    # and 17,596 bytes).
+    (20, 0): "0a82b8bf2b38a8b29706f6203906d4c25fe42c493e59b356dad52055d7f11acc",
+    (24, 1): "58802a5d8de1c2f087852bb35c51a7514a7b8478553d4da6b7ac0b9a78de161f",
+    (24, 3): "b94cf48ff2f2a2a29f3fbe58704d0e917d5e0eaf091b54218f4fb3aff8f6a26c",
 }
 
 
-def _decide_random(tmp_path, capsys, n, seed):
+def _decide_random(tmp_path, capsys, n, seed, *options):
     game = tmp_path / f"g{n}_{seed}.txt"
     game.write_text(serialize_text(generate_random_game(3, n, 5 * n, seed)))
     cert = tmp_path / f"c{n}_{seed}.json"
-    code, out, err = run(capsys, "decide", str(game), "--out", str(cert))
+    code, out, err = run(capsys, "decide", str(game), "--out", str(cert), *options)
     return code, err, cert
 
 
@@ -563,11 +581,12 @@ def test_refutation_certificate_golden(tmp_path, capsys, n, seed):
 
 
 def test_refutation_cap_abort_golden(tmp_path, capsys):
-    code, err, cert = _decide_random(tmp_path, capsys, 20, 0)
+    # An explicit small cap: the game certifies under the default one.
+    code, err, cert = _decide_random(tmp_path, capsys, 20, 0, "--cap", "1000")
     assert code == 70
     assert err == (
         "error: refutation pipeline failed: commutator decomposition:"
-        " clause word length 1000208 exceeds cap 1000000\n"
+        " clause word length 1024 exceeds cap 1000\n"
     )
     assert not cert.exists()
 

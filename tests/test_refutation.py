@@ -8,6 +8,7 @@ from xorgames.games import generate_random_game, make_game, parse_text
 from xorgames.graphs import build_hypergraph, decompose_components
 from xorgames.refutation import (
     DEFAULT_CAP,
+    CommutatorEntry,
     Homomorphisms,
     construct_sigma_word,
     decompose_pair_commutators,
@@ -328,10 +329,11 @@ def test_compose_f_matches_whole_word_definition():
 
 def test_compose_f_matches_on_commutator_entries():
     # The words the pipeline feeds it: conjugators and pairs of the
-    # decomposed player-3 residue of a preprocessed witness word.
+    # decomposed player-3 residue of a preprocessed witness word. Most small
+    # residues cancel in few swaps, so it takes many games to reach the floor.
     rng = random.Random(199)
     conjugators = pairs = 0
-    for game in connected_games(rng, 20, alphabet=5, max_clauses=15, member=True):
+    for game in connected_games(rng, 200, alphabet=5, max_clauses=15, member=True):
         hom = Homomorphisms(game)
         _, red = hom.preprocess(witness_clause_word(game, decide(game).obstruction_z))
         for entry in decompose_pair_commutators(red.per_player[2], budget=DEFAULT_CAP):
@@ -383,26 +385,44 @@ def test_decompose_tiny_commutator():
     assert prod == GroupWord((tuple(letters),))
 
 
+def random_parity_trivial_word(rng, alphabet, max_half):
+    """Two orderings of one random multiset, interleaved: every letter occurs
+    equally often at odd and even positions. Lengths 0 and 2 included."""
+    half = [rng.randrange(alphabet) for _ in range(rng.randrange(max_half + 1))]
+    other = half[:]
+    rng.shuffle(other)
+    return tuple(x for pair in zip(half, other) for x in pair)
+
+
 def test_decompose_remultiplies_exactly():
     rng = random.Random(181)
-    done = 0
-    while done < 300:
-        half = [rng.randrange(4) for _ in range(rng.randrange(1, 6))]
-        letters = []
-        # interleave two random orderings of the same multiset
-        other = half[:]
-        rng.shuffle(other)
-        for a, b in zip(half, other):
-            letters.extend((a, b))
-        if not is_parity_trivial(letters):
-            continue
+    lengths = set()
+    for trial in range(600):
+        # Small alphabets repeat letters often; larger ones give long swaps.
+        letters = random_parity_trivial_word(rng, (2, 4, 9)[trial % 3], 12)
+        assert is_parity_trivial(letters)
+        lengths.add(len(letters))
         entries = decompose_pair_commutators(letters, budget=DEFAULT_CAP)
         prod = GroupWord.identity(1)
         for e in entries:
             assert len(e.conj) % 2 == 0
+            # No entry for a swap whose middle letter equals either end:
+            # such a swap is exact without one.
+            (a, b), (c, d) = e.pair1, e.pair2
+            assert b == d and b != a and b != c and a != c
             prod = multiply(prod, GroupWord((commutator_entry_letters(e),)))
-        assert prod == GroupWord((tuple(letters),))
-        done += 1
+        assert prod == GroupWord((letters,))
+        assert decompose_pair_commutators(letters, budget=DEFAULT_CAP) == entries
+    assert {0, 2} <= lengths and max(lengths) == 24
+
+
+def test_decompose_cancels_the_closest_pair_first():
+    # The adjacent (1, 1) cancels first, leaving (0, 2, 3, 0, 2, 3). Its three
+    # closest pairs are all three apart; the leftmost, 0 at positions 0 and
+    # 3, goes first: one swap over the middle letter 3, recorded on the
+    # right because the prefix (0,) is odd. The rest cancels freely.
+    entries = decompose_pair_commutators((0, 2, 3, 0, 1, 1, 2, 3), budget=DEFAULT_CAP)
+    assert entries == [CommutatorEntry(conj=(3, 2), pair1=(2, 3), pair2=(0, 3))]
 
 
 def test_decompose_rejects_nontrivial_input():
@@ -410,6 +430,15 @@ def test_decompose_rejects_nontrivial_input():
         decompose_pair_commutators((0, 1), budget=DEFAULT_CAP)
     with pytest.raises(ValueError):
         decompose_pair_commutators((0, 1, 2), budget=DEFAULT_CAP)
+    rng = random.Random(183)
+    rejected = 0
+    while rejected < 200:
+        letters = tuple(rng.randrange(3) for _ in range(2 * rng.randrange(1, 6)))
+        if is_parity_trivial(letters):
+            continue
+        with pytest.raises(ValueError):
+            decompose_pair_commutators(letters, budget=DEFAULT_CAP)
+        rejected += 1
 
 
 def test_decompose_budget_aborts_with_the_cap_diagnostic():
@@ -455,13 +484,17 @@ def test_construct_respects_cap():
 
 
 def test_cap_aborts_cleanly_on_large_instances():
-    # A 200-clause instance whose certificate would exceed the default cap:
-    # the pipeline must fail fast with the diagnostic instead of exhausting
-    # memory inside the commutator decomposition.
+    # A 200-clause instance that certifies under the default cap, with 26,808
+    # clauses, aborts under a smaller one: the pipeline fails fast with the
+    # diagnostic instead of exhausting memory in the commutator decomposition.
     game = generate_random_game(3, 40, 200, seed=1)
+    cert = refute(game)
+    assert len(cert.sigma_word) == 26808
+    assert reduce_clause_word(game, cert.sigma_word) == GroupWord.sign(3)
     with pytest.raises(WordLengthCapExceeded) as err:
-        refute(game)
-    assert err.value.cap == 10**6
+        refute(game, cap=20000)
+    assert (err.value.stage, err.value.cap) == ("commutator decomposition", 20000)
+    assert err.value.length > 20000
 
 
 def test_refute_driver_multi_component():
@@ -511,22 +544,36 @@ def test_refute_lifts_a_certificate_valid_on_the_full_game():
 
 def test_refute_reduces_each_letter_once(monkeypatch):
     # Construction carries the normal form of its growing word: each letter
-    # of the final word goes through one reduction, and nothing is reduced
-    # again after the lift.
+    # of the assembled word goes through one reduction, and nothing is
+    # reduced again after the lift. The last `reduce_letters` call of the
+    # pipeline is the free cancellation of the assembled word into the
+    # certificate, so its input length is the assembled length.
     reduced = []
+    cancelled = []
     original = refutation.reduce_clause_word
+    original_letters = refutation.reduce_letters
 
     def counting(game, cw):
         reduced.append(len(cw))
         return original(game, cw)
 
+    def recording(letters):
+        letters = tuple(letters)
+        cancelled.append(len(letters))
+        return original_letters(letters)
+
     monkeypatch.setattr(refutation, "reduce_clause_word", counting)
+    monkeypatch.setattr(refutation, "reduce_letters", recording)
     games = [generate_random_game(3, n, 5 * n, seed) for n in (12, 16) for seed in (1, 3)]
     games += connected_games(random.Random(461), 30, alphabet=3, max_clauses=6, member=True)
+    shortened = 0
     for game in games:
         reduced.clear()
         cert = refute(game)
-        assert sum(reduced) == len(cert.sigma_word)
+        assert sum(reduced) == cancelled[-1] >= len(cert.sigma_word)
+        assert reduce_letters(cert.sigma_word) == cert.sigma_word
+        shortened += cancelled[-1] > len(cert.sigma_word)
+    assert shortened > 0
 
 
 def test_refute_rejects_perfect_games():
