@@ -18,6 +18,7 @@ line; `decide` then prints no verdict).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -293,7 +294,10 @@ def _at_least(minimum: int):
     return integer
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every `main` call
+    in one interpreter parses with the same parser."""
     parser = argparse.ArgumentParser(
         prog="xorgames",
         description="Decide perfect entangled strategies for XOR games and "

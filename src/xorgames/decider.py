@@ -71,13 +71,14 @@ def abelianize_clause_word(game: Game, cw: tuple[int, ...]) -> AbelianVector:
 def incidence_matrix(game: Game) -> IntMatrix:
     """m x (players*alphabet) matrix; entry 1 iff the clause asks that
     question of that player. Columns are player-major."""
+    width = game.players * game.alphabet
     rows = []
     for c in game.clauses:
-        row = [0] * (game.players * game.alphabet)
+        row = [0] * width
         for a, q in enumerate(c.questions):
             row[a * game.alphabet + q] = 1
-        rows.append(row)
-    return IntMatrix.from_rows(rows)
+        rows.append(tuple(row))
+    return IntMatrix(tuple(rows))
 
 
 def decide(game: Game) -> DecisionOutcome:

@@ -2,8 +2,10 @@
 
 Dense arbitrary-precision arithmetic only; no floating point anywhere in this
 module. Smith normal form is computed with explicit elementary row/column
-operations so the unimodular transforms come out alongside the diagonal, and
-the decomposition identity is rechecked before returning. Desk-scale sizes
+operations. V comes out as a matrix; U comes out as the log of the row
+operations (`RowOperations`), which is replayed onto whatever U multiplies:
+A·V in the self-check, the right-hand side in the phase solve. The
+decomposition identity is rechecked before returning. Desk-scale sizes
 (a few hundred rows/columns) are the target.
 
 The elimination is tuned without changing its result: the pivot is still
@@ -12,9 +14,10 @@ sequence of elementary operations is fixed, so U, D and V come out the same
 entry for entry. The speed comes from skipping work that cannot change
 anything: pivot scans stop at the first unit, all column operations of one
 pivot share a single pass over the rows, row operations touch only the
-nonzero entries of the pivot row, and products multiply only pairs of
-nonzero entries, skipping the zeros of both operands (the 0/1 incidence
-matrices this package decomposes are sparse, and so is A·V).
+nonzero entries of the pivot row, U is never formed as a matrix, and
+products multiply only pairs of nonzero entries, skipping the zeros of both
+operands (the 0/1 incidence matrices this package decomposes are sparse, and
+so is A·V).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
+from math import lcm
 
 
 @dataclass(frozen=True)
@@ -78,11 +82,79 @@ class IntMatrix:
         )
 
 
+class RowOperations:
+    """A square matrix kept as the log of the elementary row operations that
+    turn the identity into it, in the order they were applied:
+
+    ("swap", t, i)              swap rows t and i
+    ("sub", t, [(i, q), ...])   R_i -= q·R_t for each pair (i > t)
+    ("fold", t, f)              R_t += R_f
+    ("flip", t, None)           R_t = -R_t
+
+    Multiplying by it replays the log on the other operand, which never forms
+    the matrix itself. Offers what callers use of an `IntMatrix` U.
+    """
+
+    __slots__ = ("rows", "log", "_data")
+
+    def __init__(self, size: int, log):
+        self.rows = size
+        self.log = log
+        self._data = None
+
+    @property
+    def cols(self) -> int:
+        return self.rows
+
+    def _replay(self, rows: list[list[int]]) -> list[list[int]]:
+        """Apply the log to the rows in place and return them."""
+        for kind, t, arg in self.log:
+            if kind == "sub":
+                nonzeros = _nonzeros(rows[t])
+                for i, q in arg:
+                    ri = rows[i]
+                    for k, y in nonzeros:
+                        ri[k] -= q * y
+            elif kind == "swap":
+                rows[t], rows[arg] = rows[arg], rows[t]
+            elif kind == "fold":
+                rows[t] = [x + y for x, y in zip(rows[t], rows[arg])]
+            else:
+                rows[t] = [-x for x in rows[t]]
+        return rows
+
+    def mul(self, other: IntMatrix) -> IntMatrix:
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch")
+        return IntMatrix(tuple(map(tuple, self._replay([list(row) for row in other.data]))))
+
+    def mulvec(self, v):
+        if len(v) != self.cols:
+            raise ValueError("dimension mismatch")
+        return tuple(row[0] for row in self._replay([[x] for x in v]))
+
+    @property
+    def data(self) -> tuple[tuple[int, ...], ...]:
+        """The matrix itself: the log replayed on the identity, once."""
+        if self._data is None:
+            self._data = tuple(map(tuple, self._replay(_identity_rows(self.rows))))
+        return self._data
+
+    def __eq__(self, other):
+        if isinstance(other, (IntMatrix, RowOperations)):
+            return self.data == other.data
+        return NotImplemented
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U·A·V = D with U, V unimodular and D diagonal, d1 | d2 | ..."""
+    """U·A·V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    u: IntMatrix
+    `smith_normal_form` returns U as the `RowOperations` log of its
+    elimination; a decomposition built by hand may hold any `IntMatrix`.
+    """
+
+    u: IntMatrix | RowOperations
     d: IntMatrix
     v: IntMatrix
 
@@ -122,7 +194,8 @@ def _nonzeros(row):
 
 
 def _identity_rows(n: int) -> list[list[int]]:
-    """The n×n identity as mutable rows: the starting U or V."""
+    """The n×n identity as mutable rows: the starting V, and what U's log
+    replays on to give U itself."""
     rows = [[0] * n for _ in range(n)]
     for i, row in enumerate(rows):
         row[i] = 1
@@ -132,7 +205,7 @@ def _identity_rows(n: int) -> list[list[int]]:
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     rows, cols = a.rows, a.cols
     m = [list(row) for row in a.data]
-    u = _identity_rows(rows)
+    log = []  # the row operations, which make up U
     v = _identity_rows(cols)
 
     for t in range(min(rows, cols)):
@@ -143,18 +216,19 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             i, j = pivot
             if i != t:
                 m[t], m[i] = m[i], m[t]
-                u[t], u[i] = u[i], u[t]
+                log.append(("swap", t, i))
             if j != t:
                 for r in m:
                     r[t], r[j] = r[j], r[t]
                 for r in v:
                     r[t], r[j] = r[j], r[t]
-            mt, ut = m[t], u[t]
+            mt = m[t]
             p = mt[t]
             dirty = False
-            # R_i -= q * R_t for every row below, mirrored in U, touching
-            # only the nonzero entries of the pivot rows.
-            mt_nz, ut_nz = _nonzeros(mt), _nonzeros(ut)
+            # R_i -= q * R_t for every row below, touching only the nonzero
+            # entries of the pivot row.
+            mt_nz = _nonzeros(mt)
+            subs = []
             for i in range(t + 1, rows):
                 mi = m[i]
                 if mi[t]:
@@ -162,10 +236,10 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                     if q:
                         for k, y in mt_nz:
                             mi[k] -= q * y
-                        ui = u[i]
-                        for k, y in ut_nz:
-                            ui[k] -= q * y
+                        subs.append((i, q))
                     dirty = dirty or mi[t] != 0
+            if subs:
+                log.append(("sub", t, subs))
             # C_j -= q * C_t for every column right of the pivot, mirrored in
             # V. These operations never change column t, so every quotient
             # comes from the pivot row as it is now and all of them can be
@@ -199,16 +273,16 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                     break
                 # Fold the offending row into row t, then reduce again.
                 m[t] = [x + y for x, y in zip(m[t], m[fixup])]
-                u[t] = [x + y for x, y in zip(u[t], u[fixup])]
+                log.append(("fold", t, fixup))
             pivot = _find_pivot(m, t, rows, cols)
 
     for t in range(min(rows, cols)):
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
+            log.append(("flip", t, None))
 
     dec = SmithDecomposition(
-        u=IntMatrix(tuple(map(tuple, u))),
+        u=RowOperations(rows, log),
         d=IntMatrix(tuple(map(tuple, m))),
         v=IntMatrix(tuple(map(tuple, v))),
     )
@@ -219,15 +293,15 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 def _check_decomposition(a: IntMatrix, dec: SmithDecomposition):
     # U·(A·V) is the same exact product as (U·A)·V; taking the sparse A
     # first keeps the intermediate sparse too, and mul skips the zeros of
-    # both operands. Every entry of the product is still compared with D.
+    # both operands. A U kept as row operations is replayed on A·V. Every
+    # entry of the product is still compared with D.
     prod = dec.u.mul(a.mul(dec.v))
     if prod != dec.d:
         raise AssertionError("Smith decomposition identity U*A*V == D failed")
     diag = dec.diagonal
-    for i in range(dec.d.rows):
-        for j in range(dec.d.cols):
-            if i != j and dec.d.data[i][j] != 0:
-                raise AssertionError("D not diagonal")
+    for i, row in enumerate(dec.d.data):
+        if any(row[:i]) or any(row[i + 1:]):
+            raise AssertionError("D not diagonal")
     for x, y in zip(diag, diag[1:]):
         if x == 0 and y != 0:
             raise AssertionError("zero before nonzero on the diagonal")
@@ -329,8 +403,21 @@ def solve_mod2_over_rationals(b: IntMatrix, s) -> tuple[Fraction, ...] | None:
     phi = [Fraction(sum(map(operator.mul, vrow, psi)), denom) for vrow in dec.v.data]
     phi = _zero_free_directions(phi, _kernel_columns(dec))
     phi = tuple(x % 2 for x in phi)
-    for lhs, rhs in zip(b.mulvec(phi), s):
-        diff = lhs - rhs
-        if diff.denominator != 1 or diff.numerator % 2 != 0:
+    parts = [(x.numerator, x.denominator) for x in phi]
+    for row, target in zip(b.data, s):
+        terms = [(c * n, d) for c, (n, d) in zip(row, parts) if c]
+        if not congruent_mod2(terms, target):
             raise AssertionError("solution fails b·phi = s (mod 2)")
     return phi
+
+
+def congruent_mod2(terms, target: int) -> bool:
+    """Whether the sum of the rationals n/d, given as (n, d) pairs, is
+    congruent to the integer target mod 2. The sum is taken in integers:
+    each term is written over L, the lcm of these denominators alone, and
+    total − target·L must be a multiple of 2L. So L stays within the
+    product of the terms' own denominators, however many other
+    denominators the caller's table holds."""
+    common = lcm(*[d for _, d in terms])
+    total = sum([n * (common // d) for n, d in terms])
+    return (total - target * common) % (2 * common) == 0

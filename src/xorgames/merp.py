@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .decider import incidence_matrix
 from .games import Game
-from .intlinalg import solve_mod2_over_rationals
+from .intlinalg import congruent_mod2, solve_mod2_over_rationals
 
 
 # The string form to_dict writes: an optional sign, digits, optional /digits.
@@ -88,14 +88,15 @@ def solve_merp(game: Game) -> MerpStrategy | None:
 
 def verify_merp_symbolic(game: Game, strat: MerpStrategy) -> bool:
     """True iff every clause phase sum is congruent to its parity mod 2,
-    exactly in rational arithmetic."""
+    exactly: each clause is summed in integers over the lcm of its own
+    phases' denominators."""
     if strat.players != game.players or strat.alphabet < game.alphabet:
         raise ValueError("strategy dimensions do not match the game")
-    for i, c in enumerate(game.clauses):
-        diff = clause_phase_sum(game, strat, i) - c.parity
-        if diff.denominator != 1 or diff.numerator % 2 != 0:
-            return False
-    return True
+    parts = [[(x.numerator, x.denominator) for x in row] for row in strat.phi]
+    return all(
+        congruent_mod2([row[q] for row, q in zip(parts, c.questions)], c.parity)
+        for c in game.clauses
+    )
 
 
 def _matmul(a, b):

@@ -683,3 +683,48 @@ def test_decide_reads_stdin(tmp_path, capsys, monkeypatch):
     cert = str(tmp_path / "cert.json")
     code, out, _ = run(capsys, "decide", "-", "--out", cert)
     assert code == 0 and "PERFECT" in out
+
+
+# A refutation, two phase tables (one classical) and an obstruction witness.
+PRODUCTION_SHAPES = [((3, 12, 60, 1), 1), ((5, 6, 24, 1), 0), ((4, 6, 12, 0), 0), ((4, 6, 24, 0), 2)]
+
+
+def test_decide_and_verify_never_build_dense_u(tmp_path, capsys, monkeypatch):
+    # U is only ever replayed from its row-operation log; multiplying it out
+    # is for tests and tracing.
+    from xorgames.intlinalg import RowOperations
+
+    def dense(self):
+        raise RuntimeError("dense U built")
+
+    monkeypatch.setattr(RowOperations, "data", property(dense))
+    for shape, expected in PRODUCTION_SHAPES:
+        game = tmp_path / "g.txt"
+        game.write_text(serialize_text(generate_random_game(*shape)))
+        cert = tmp_path / "c.json"
+        assert run(capsys, "decide", str(game), "--out", str(cert))[0] == expected, shape
+        assert run(capsys, "verify", str(game), str(cert))[:2] == (0, "PASS\n"), shape
+
+
+def test_one_process_runs_commands_in_sequence(tmp_path, capsys, monkeypatch):
+    # main() builds its parser once per process; each call must still
+    # behave as a fresh `python -m xorgames` would.
+    game = tmp_path / "g.txt"
+    game.write_text(serialize_text(generate_random_game(3, 12, 60, 1)))
+    commands = [
+        ["decide", "g.txt", "--out", "c.json"],
+        ["decide", "g.txt", "--cap", "0"],
+        ["verify", "g.txt", "c.json"],
+        ["gen", "-k", "3", "-n", "4", "-m", "9", "--seed", "2"],
+    ]
+    monkeypatch.chdir(tmp_path)
+    in_process = [run(capsys, *argv)[:2] for argv in commands]
+    first_cert = (tmp_path / "c.json").read_bytes()
+    separate = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "xorgames", *argv], cwd=tmp_path,
+                              env=_child_env(), capture_output=True, text=True)
+        separate.append((proc.returncode, proc.stdout))
+    assert [code for code, _ in in_process] == [1, 64, 0, 0]
+    assert in_process == separate
+    assert (tmp_path / "c.json").read_bytes() == first_cert

@@ -12,8 +12,10 @@ from xorgames.decider import incidence_matrix
 from xorgames.games import generate_random_game
 from xorgames.intlinalg import (
     IntMatrix,
+    RowOperations,
     SmithDecomposition,
     _check_decomposition,
+    congruent_mod2,
     integer_kernel_basis,
     smith_normal_form,
     solve_mod2_over_rationals,
@@ -460,3 +462,124 @@ def test_mod2_solution_matches_dense_reduction(monkeypatch):
         if sparse and any(x.denominator != 1 for x in sparse):
             half_integral += 1
     assert half_integral >= 10
+
+
+def _elementary(op, n: int) -> IntMatrix:
+    """The n×n matrix of one logged row operation, built entry by entry."""
+    kind, t, arg = op
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    if kind == "swap":
+        rows[t], rows[arg] = rows[arg], rows[t]
+    elif kind == "sub":
+        for i, q in arg:
+            rows[i][t] = -q
+    elif kind == "fold":
+        rows[t][arg] = 1
+    else:
+        assert kind == "flip"
+        rows[t][t] = -1
+    return IntMatrix.from_rows(rows)
+
+
+def _log_shapes():
+    """The matrices the row-operation tests decompose: seeded random shapes,
+    a fold ([[2, 0], [0, 3]]: the unit pivot 2 does not divide 3), and the
+    shapes with no rows or no columns."""
+    rng = random.Random(97)
+    cases = [random_matrix(rng, max_dim=8, bound=rng.choice((2, 9, 40))) for _ in range(200)]
+    cases += [IntMatrix.from_rows([[2, 0], [0, 3]]), IntMatrix.from_rows([[0, 0]] * 3)]
+    cases += [IntMatrix(()), IntMatrix(((),) * 3)]
+    return rng, cases
+
+
+def test_row_operations_match_the_dense_transform():
+    rng, cases = _log_shapes()
+    kinds = set()
+    for a in cases:
+        u = smith_normal_form(a).u
+        assert isinstance(u, RowOperations)
+        kinds.update(op[0] for op in u.log)
+        # data is the log multiplied out, one elementary matrix at a time.
+        dense = _identity(a.rows)
+        for op in u.log:
+            dense = naive_product(_elementary(op, a.rows), dense)
+        assert u.data == dense.data and u == dense and dense == u
+        assert (u.rows, u.cols) == (a.rows, a.rows)
+        for cols in (0, 1, rng.randrange(2, 7)):
+            b = sparse_random(rng, a.rows, cols, 0.4, 70) if a.rows else IntMatrix(())
+            assert u.mul(b) == dense.mul(b)
+        vec = tuple(rng.randint(-9, 9) for _ in range(a.rows))
+        assert u.mulvec(vec) == dense.mulvec(vec)
+    assert kinds == {"swap", "sub", "fold", "flip"}
+
+
+def test_row_operations_reject_mismatched_shapes():
+    u = smith_normal_form(CHECKED).u
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        u.mul(IntMatrix.from_rows([[1, 2]] * 2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        u.mulvec((1, 2))
+
+
+# Nonsingular, and its elimination logs every kind of row operation.
+EVERY_KIND = IntMatrix.from_rows([[-2, -4, -4], [-1, -1, -2], [-2, 0, 1]])
+
+
+def _corrupted_logs(log):
+    """Each multiplier changed by one, each swap dropped, each sign flip
+    dropped: one corruption per log."""
+    for pos, (kind, t, arg) in enumerate(log):
+        if kind == "sub":
+            for k, (i, q) in enumerate(arg):
+                subs = arg[:k] + [(i, q + 1)] + arg[k + 1:]
+                yield log[:pos] + [(kind, t, subs)] + log[pos + 1:]
+        elif kind in ("swap", "flip"):
+            yield log[:pos] + log[pos + 1:]
+
+
+def test_check_rejects_a_corrupted_row_operation_log():
+    dec = smith_normal_form(EVERY_KIND)
+    assert {op[0] for op in dec.u.log} == {"swap", "sub", "fold", "flip"}
+    bad_logs = list(_corrupted_logs(dec.u.log))
+    assert len(bad_logs) >= 8
+    for log in bad_logs:
+        bad = SmithDecomposition(u=RowOperations(3, log), d=dec.d, v=dec.v)
+        with pytest.raises(AssertionError, match="U\\*A\\*V == D"):
+            _check_decomposition(EVERY_KIND, bad)
+
+
+def _fraction_congruent(coeffs, values, target) -> bool:
+    """Reference: the sum in Fraction arithmetic."""
+    total = sum((c * Fraction(x) for c, x in zip(coeffs, values)), Fraction(0))
+    return (total - target) % 2 == 0
+
+
+def test_integer_congruence_matches_fractions():
+    rng = random.Random(101)
+    denominators = (1, 2, 3, 4, 6, 7, 12, 2**61 - 1, 10**30)
+    outcomes = set()
+    for _ in range(600):
+        width = rng.randrange(0, 6)
+        coeffs = [rng.randint(-3, 3) for _ in range(width)]
+        values = [Fraction(rng.randint(-40, 40), rng.choice(denominators)) for _ in range(width)]
+        if width and coeffs[-1] and rng.random() < 0.6:
+            # Close the sum to an integer, so both outcomes occur.
+            rest = sum((c * x for c, x in zip(coeffs, values[:-1])), Fraction(0))
+            values[-1] = (rng.randint(-5, 5) - rest) / coeffs[-1]
+        target = rng.randrange(2)
+        terms = [(c * x.numerator, x.denominator) for c, x in zip(coeffs, values) if c]
+        expected = _fraction_congruent(coeffs, values, target)
+        assert congruent_mod2(terms, target) == expected, (coeffs, values, target)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_solver_check_rejects_a_wrong_phase_vector(monkeypatch):
+    # The final b·phi = s (mod 2) check is the integer one: a phase vector
+    # off by 1/3 in one coordinate must fail it.
+    b = IntMatrix.from_rows([[1, 0, 1, 0, 1, 0], [1, 0, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1], [0, 1, 0, 1, 1, 0]])
+    good = solve_mod2_over_rationals(b, [1, 0, 0, 0])
+    shifted = (good[0] + Fraction(1, 3),) + good[1:]
+    monkeypatch.setattr(intlinalg, "_zero_free_directions", lambda phi, kernel: shifted)
+    with pytest.raises(AssertionError, match="b·phi = s"):
+        solve_mod2_over_rationals(b, [1, 0, 0, 0])

@@ -1,10 +1,12 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from xorgames import intlinalg
 from xorgames.decider import decide
 from xorgames.games import generate_random_game, make_game, parse_text
 from xorgames.merp import (
@@ -201,3 +203,122 @@ def test_global_phase_shift_preserves_perfection():
     )
     assert verify_merp_symbolic(GHZ, shifted)
     assert abs(simulate_merp_value(GHZ, shifted).value - 1) <= 1e-9
+
+
+def fraction_verify(game, strat) -> bool:
+    """Reference: every clause phase sum in Fraction arithmetic."""
+    return all(
+        (sum((strat.phi[a][q] for a, q in enumerate(c.questions)), Fraction(0)) - c.parity) % 2 == 0
+        for c in game.clauses
+    )
+
+
+def _planted_clauses(rng, phi, count):
+    """Clauses whose phase sum under phi is an integer, with that parity."""
+    players, alphabet = len(phi), len(phi[0])
+    rows = []
+    while len(rows) < count:
+        qs = [rng.randrange(alphabet) for _ in range(players)]
+        total = sum((phi[a][q] for a, q in enumerate(qs)), Fraction(0))
+        if total.denominator == 1:
+            rows.append(([q + 1 for q in qs], total.numerator % 2))
+    return rows
+
+
+def test_verify_matches_fractions_on_mixed_denominators():
+    rng = random.Random(107)
+    outcomes = set()
+    for _ in range(150):
+        players, alphabet = rng.randrange(2, 6), rng.randrange(1, 5)
+        # Question 0 has phase 0 for everyone, so some clause is always drawable.
+        phi = [[Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 6, 12))) if q else Fraction(0)
+                for q in range(alphabet)]
+               for _ in range(players)]
+        rows = _planted_clauses(rng, phi, rng.randrange(1, 8))
+        if rng.random() < 0.5:  # one clause with the wrong parity
+            qs, parity = rows[-1]
+            rows[-1] = (qs, 1 - parity)
+        game = make_game(rows, alphabet)
+        for table in (phi, [[x + Fraction(1, 3) for x in phi[0]]] + phi[1:]):
+            strat = MerpStrategy(tuple(map(tuple, table)))
+            expected = fraction_verify(game, strat)
+            assert verify_merp_symbolic(game, strat) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_verify_matches_fractions_on_huge_and_shifted_phases():
+    strat = solve_merp(GHZ)
+    tables = {
+        "huge even": ((strat.phi[0][0] + 2 * 10**400, strat.phi[0][1]),) + strat.phi[1:],
+        "huge odd": ((strat.phi[0][0] + 10**400 + 1, strat.phi[0][1]),) + strat.phi[1:],
+        "tiny cancelling": (
+            tuple(x + Fraction(1, 3**300) for x in strat.phi[0]),
+            tuple(x - Fraction(1, 3**300) for x in strat.phi[1]),
+            strat.phi[2],
+        ),
+        "third, cancelling": (
+            tuple(x + Fraction(1, 3) for x in strat.phi[0]),
+            tuple(x - Fraction(1, 3) for x in strat.phi[1]),
+            strat.phi[2],
+        ),
+        "third, one player": (tuple(x + Fraction(1, 3) for x in strat.phi[0]),) + strat.phi[1:],
+    }
+    expected = {"huge even": True, "huge odd": False, "tiny cancelling": True,
+                "third, cancelling": True, "third, one player": False}
+    for name, phi in tables.items():
+        shifted = MerpStrategy(phi)
+        assert fraction_verify(GHZ, shifted) == expected[name], name
+        assert verify_merp_symbolic(GHZ, shifted) == expected[name], name
+
+
+def _primes_from(lo: int, count: int) -> list[int]:
+    """The first count primes >= lo, by a sieve of the segment above lo."""
+    span = 64 * count
+    limit = math.isqrt(lo + span) + 1
+    small = bytearray([1]) * limit
+    small[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if small[p]:
+            small[p * p::p] = bytes(len(range(p * p, limit, p)))
+    segment = bytearray([1]) * span
+    for p in (p for p in range(2, limit) if small[p]):
+        start = -lo % p
+        segment[start::p] = bytes(len(range(start, span, p)))
+    primes = [lo + i for i, flag in enumerate(segment) if flag]
+    assert len(primes) >= count
+    return primes[:count]
+
+
+def test_verify_keeps_each_clause_to_its_own_denominators(monkeypatch):
+    # 2,000 distinct prime denominators near 10**12. Question q carries k/p_q
+    # for player 1 and -k/p_q mod 2 for player 2, so every clause (q, q, r) sums to
+    # an integer and is checked; one common denominator for the table would
+    # have 2,000 prime factors. The check must use only a clause's own.
+    rng = random.Random(109)
+    primes = _primes_from(10**12, 2000)
+    first = tuple(Fraction(rng.randrange(1, p), p) for p in primes)
+    phi = (first, tuple(-x % 2 for x in first), tuple(Fraction(rng.randrange(2)) for _ in primes))
+    rows = []
+    for q in range(len(primes)):
+        r = rng.randrange(len(primes))
+        rows.append(([q + 1, q + 1, r + 1], phi[2][r].numerator))
+    game = make_game(rows)
+    strat = MerpStrategy(phi)
+    largest = []
+    real_lcm = intlinalg.lcm
+
+    def recording_lcm(*args):
+        result = real_lcm(*args)
+        largest.append(result.bit_length())
+        return result
+
+    monkeypatch.setattr(intlinalg, "lcm", recording_lcm)
+    start = time.perf_counter()
+    assert verify_merp_symbolic(game, strat)
+    elapsed = time.perf_counter() - start
+    assert len(largest) == len(primes) and max(largest) <= 41
+    assert elapsed < 5
+    broken = make_game(rows[:-1] + [(rows[-1][0], 1 - rows[-1][1])])
+    assert not verify_merp_symbolic(broken, strat)
+    assert fraction_verify(game, strat) and not fraction_verify(broken, strat)
