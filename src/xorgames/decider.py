@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .games import Game
-from .intlinalg import IntMatrix, integer_kernel_basis
+from .intlinalg import IntMatrix, odd_kernel_basis
 
 
 @dataclass(frozen=True)
@@ -88,20 +88,14 @@ def decide(game: Game) -> DecisionOutcome:
     Among the odd basis vectors the one with smallest entry sum (then
     fewest nonzeros, then basis order) is returned: witness words expand
     each unit of the vector into a clause pair, so this keeps certificates
-    short while staying deterministic.
+    short while staying deterministic. Only the odd vectors are built.
     """
-    kernel = integer_kernel_basis(incidence_matrix(game).transpose())
     parities = tuple(c.parity for c in game.clauses)
-    best = None
-    for pos, vec in enumerate(kernel):
-        if sum(z * s for z, s in zip(vec, parities)) % 2 == 0:
-            continue
-        key = (sum(abs(z) for z in vec), sum(1 for z in vec if z), pos)
-        if best is None or key < best[0]:
-            best = (key, vec)
-    if best is None:
+    odd = odd_kernel_basis(incidence_matrix(game).transpose(), parities)
+    if not odd:
         return DecisionOutcome(member=False)
-    return DecisionOutcome(member=True, obstruction_z=best[1])
+    _, vec = min(odd, key=lambda pv: (sum(map(abs, pv[1])), len(pv[1]) - pv[1].count(0), pv[0]))
+    return DecisionOutcome(member=True, obstruction_z=vec)
 
 
 def check_obstruction(game: Game, z) -> bool:

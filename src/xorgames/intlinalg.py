@@ -2,11 +2,15 @@
 
 Dense arbitrary-precision arithmetic only; no floating point anywhere in this
 module. Smith normal form is computed with explicit elementary row/column
-operations. V comes out as a matrix; U comes out as the log of the row
-operations (`RowOperations`), which is replayed onto whatever U multiplies:
-A·V in the self-check, the right-hand side in the phase solve. The
-decomposition identity is rechecked before returning. Desk-scale sizes
-(a few hundred rows/columns) are the target.
+operations. Neither transform comes out as a matrix: U is the log of the row
+operations (`RowOperations`) and V the log of the column operations
+(`ColumnOperations`). Each log is replayed only onto what it multiplies: U
+onto A·V in the self-check and onto the right-hand side in the phase solve;
+V forward onto the rows of A in the self-check and onto a parity row,
+backward onto the phase solve's ψ and onto the unit vectors of just the
+kernel columns a caller reads. The decomposition identity is rechecked
+before returning. Desk-scale sizes (a few hundred rows/columns) are the
+target.
 
 The elimination is tuned without changing its result: the pivot is still
 the first entry of smallest absolute value in row-major order and the
@@ -14,10 +18,10 @@ sequence of elementary operations is fixed, so U, D and V come out the same
 entry for entry. The speed comes from skipping work that cannot change
 anything: pivot scans stop at the first unit, all column operations of one
 pivot share a single pass over the rows, row operations touch only the
-nonzero entries of the pivot row, U is never formed as a matrix, and
-products multiply only pairs of nonzero entries, skipping the zeros of both
-operands (the 0/1 incidence matrices this package decomposes are sparse, and
-so is A·V).
+nonzero entries of the pivot row, neither transform is formed as a matrix,
+and products multiply only pairs of nonzero entries, skipping the zeros of
+both operands (the 0/1 incidence matrices this package decomposes are
+sparse, and so is A·V).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress
 from math import lcm
 
 
@@ -53,9 +57,11 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.data))) if self.data else IntMatrix(())
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
+    def mul(self, other: "IntMatrix | ColumnOperations") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
+        if isinstance(other, ColumnOperations):
+            return other.premul(self)
         n = other.cols
         # Each row of the right operand is read once, as its nonzero column
         # indices and values; only products of two nonzero entries are formed.
@@ -81,19 +87,15 @@ class IntMatrix:
             for row in self.data
         )
 
+    def columns(self, js) -> list[tuple[int, ...]]:
+        return [tuple(row[j] for row in self.data) for j in js]
 
-class RowOperations:
-    """A square matrix kept as the log of the elementary row operations that
-    turn the identity into it, in the order they were applied:
 
-    ("swap", t, i)              swap rows t and i
-    ("sub", t, [(i, q), ...])   R_i -= q·R_t for each pair (i > t)
-    ("fold", t, f)              R_t += R_f
-    ("flip", t, None)           R_t = -R_t
-
-    Multiplying by it replays the log on the other operand, which never forms
-    the matrix itself. Offers what callers use of an `IntMatrix` U.
-    """
+class _OperationLog:
+    """A square matrix kept as the log of the elementary operations that
+    turn the identity into it, in the order they were applied. Multiplying
+    by it replays the log on the other operand, which never forms the matrix
+    itself."""
 
     __slots__ = ("rows", "log", "_data")
 
@@ -105,6 +107,36 @@ class RowOperations:
     @property
     def cols(self) -> int:
         return self.rows
+
+    def _replay(self, rows: list[list[int]]) -> list[list[int]]:
+        raise NotImplementedError
+
+    @property
+    def data(self) -> tuple[tuple[int, ...], ...]:
+        """The matrix itself: the log replayed on the identity, once. Only
+        tests and tracing read it."""
+        if self._data is None:
+            self._data = tuple(map(tuple, self._replay(_identity_rows(self.rows))))
+        return self._data
+
+    def __eq__(self, other):
+        if isinstance(other, (IntMatrix, _OperationLog)):
+            return self.data == other.data
+        return NotImplemented
+
+
+class RowOperations(_OperationLog):
+    """U as the log of its row operations:
+
+    ("swap", t, i)              swap rows t and i
+    ("sub", t, [(i, q), ...])   R_i -= q·R_t for each pair (i > t)
+    ("fold", t, f)              R_t += R_f
+    ("flip", t, None)           R_t = -R_t
+
+    Offers what callers use of an `IntMatrix` U.
+    """
+
+    __slots__ = ()
 
     def _replay(self, rows: list[list[int]]) -> list[list[int]]:
         """Apply the log to the rows in place and return them."""
@@ -133,30 +165,102 @@ class RowOperations:
             raise ValueError("dimension mismatch")
         return tuple(row[0] for row in self._replay([[x] for x in v]))
 
-    @property
-    def data(self) -> tuple[tuple[int, ...], ...]:
-        """The matrix itself: the log replayed on the identity, once."""
-        if self._data is None:
-            self._data = tuple(map(tuple, self._replay(_identity_rows(self.rows))))
-        return self._data
 
-    def __eq__(self, other):
-        if isinstance(other, (IntMatrix, RowOperations)):
-            return self.data == other.data
-        return NotImplemented
+class ColumnOperations(_OperationLog):
+    """V as the log of its column operations:
+
+    ("swap", t, j)              swap columns t and j
+    ("sub", t, [(j, q), ...])   C_j -= q·C_t for each pair (j > t)
+
+    V is the identity times one elementary matrix per operation, so X·V
+    replays the log forward on the columns of X, and V·x replays it backward
+    on the entries of x. Offers what callers use of an `IntMatrix` V;
+    `IntMatrix.mul` hands a ColumnOperations operand to `premul`.
+    """
+
+    __slots__ = ()
+
+    def _replay(self, rows: list[list[int]]) -> list[list[int]]:
+        """Apply the log to the columns of the rows in place and return them."""
+        for kind, t, arg in self.log:
+            if kind == "sub":
+                for r in rows:
+                    x = r[t]
+                    if x:
+                        for j, q in arg:
+                            r[j] -= q * x
+            else:
+                for r in rows:
+                    r[t], r[arg] = r[arg], r[t]
+        return rows
+
+    def premul(self, other: IntMatrix) -> IntMatrix:
+        """other·V."""
+        if other.cols != self.rows:
+            raise ValueError("dimension mismatch")
+        return IntMatrix(tuple(map(tuple, self._replay([list(row) for row in other.data]))))
+
+    def mulvec(self, v):
+        """V·v: entry t takes −q·v_j for each C_j −= q·C_t, last operation
+        first."""
+        if len(v) != self.cols:
+            raise ValueError("dimension mismatch")
+        x = list(v)
+        for kind, t, arg in reversed(self.log):
+            if kind == "sub":
+                x[t] -= sum([q * x[j] for j, q in arg if x[j]])
+            else:
+                x[t], x[arg] = x[arg], x[t]
+        return tuple(x)
+
+    def columns(self, js) -> list[tuple[int, ...]]:
+        """Columns js of V, in the order given: V times the unit vectors e_j,
+        replayed backward on the rows of that block only. A row of the block
+        is None while it is zero, the index c while it is the block's c-th
+        unit vector, and a list once it is anything else, so an operation
+        whose source row is a unit changes one entry, not a whole row."""
+        js = list(js)
+        width = len(js)
+        rows: list = [None] * self.rows
+        for c, j in enumerate(js):
+            rows[j] = c
+        for kind, t, arg in reversed(self.log):
+            if kind == "swap":
+                rows[t], rows[arg] = rows[arg], rows[t]
+                continue
+            # R_t -= q·R_j for each pair: one entry per unit source, and all
+            # list sources summed into R_t in a single pass.
+            target = rows[t]
+            qs, sources = [], []
+            for j, q in arg:
+                source = rows[j]
+                if source is None:
+                    continue
+                if not isinstance(target, list):
+                    target = _unit_row(target, width)
+                if isinstance(source, list):
+                    qs.append(q)
+                    sources.append(source)
+                else:
+                    target[source] -= q
+            if sources:
+                target = [x - sum(map(operator.mul, qs, ys)) for x, ys in zip(target, zip(*sources))]
+            rows[t] = target
+        return list(zip(*(row if isinstance(row, list) else _unit_row(row, width) for row in rows)))
 
 
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U·A·V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    `smith_normal_form` returns U as the `RowOperations` log of its
-    elimination; a decomposition built by hand may hold any `IntMatrix`.
+    `smith_normal_form` returns U and V as the `RowOperations` and
+    `ColumnOperations` logs of its elimination; a decomposition built by
+    hand may hold any `IntMatrix` for either.
     """
 
     u: IntMatrix | RowOperations
     d: IntMatrix
-    v: IntMatrix
+    v: IntMatrix | ColumnOperations
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -189,13 +293,22 @@ def _find_pivot(m, t, rows, cols):
     return best
 
 
+def _unit_row(c, width: int) -> list[int]:
+    """A row of `ColumnOperations.columns`' block as a list: zero when c is
+    None, else the c-th unit vector."""
+    row = [0] * width
+    if c is not None:
+        row[c] = 1
+    return row
+
+
 def _nonzeros(row):
     return [(k, x) for k, x in enumerate(row) if x]
 
 
 def _identity_rows(n: int) -> list[list[int]]:
-    """The n×n identity as mutable rows: the starting V, and what U's log
-    replays on to give U itself."""
+    """The n×n identity as mutable rows, which a transform's log replays on
+    to give the transform itself."""
     rows = [[0] * n for _ in range(n)]
     for i, row in enumerate(rows):
         row[i] = 1
@@ -206,7 +319,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     rows, cols = a.rows, a.cols
     m = [list(row) for row in a.data]
     log = []  # the row operations, which make up U
-    v = _identity_rows(cols)
+    vlog = []  # the column operations, which make up V
 
     for t in range(min(rows, cols)):
         pivot = _find_pivot(m, t, rows, cols)
@@ -220,8 +333,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             if j != t:
                 for r in m:
                     r[t], r[j] = r[j], r[t]
-                for r in v:
-                    r[t], r[j] = r[j], r[t]
+                vlog.append(("swap", t, j))
             mt = m[t]
             p = mt[t]
             dirty = False
@@ -240,7 +352,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                     dirty = dirty or mi[t] != 0
             if subs:
                 log.append(("sub", t, subs))
-            # C_j -= q * C_t for every column right of the pivot, mirrored in
+            # C_j -= q * C_t for every column right of the pivot, logged for
             # V. These operations never change column t, so every quotient
             # comes from the pivot row as it is now and all of them can be
             # applied in one pass over the rows.
@@ -252,7 +364,8 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                         ops.append((j, q))
                     dirty = dirty or rem != 0
             if ops:
-                for r in (*m, *v):
+                vlog.append(("sub", t, ops))
+                for r in m:
                     x = r[t]
                     if x:
                         for j, q in ops:
@@ -284,7 +397,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     dec = SmithDecomposition(
         u=RowOperations(rows, log),
         d=IntMatrix(tuple(map(tuple, m))),
-        v=IntMatrix(tuple(map(tuple, v))),
+        v=ColumnOperations(cols, vlog),
     )
     _check_decomposition(a, dec)
     return dec
@@ -292,9 +405,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
 def _check_decomposition(a: IntMatrix, dec: SmithDecomposition):
     # U·(A·V) is the same exact product as (U·A)·V; taking the sparse A
-    # first keeps the intermediate sparse too, and mul skips the zeros of
-    # both operands. A U kept as row operations is replayed on A·V. Every
-    # entry of the product is still compared with D.
+    # first keeps the intermediate sparse too. A V kept as column operations
+    # is replayed forward on the rows of A, a U kept as row operations on
+    # A·V. Every entry of the product is still compared with D.
     prod = dec.u.mul(a.mul(dec.v))
     if prod != dec.d:
         raise AssertionError("Smith decomposition identity U*A*V == D failed")
@@ -320,21 +433,36 @@ def _sign_normalised(vec):
     return vec if lead >= 0 else tuple(-x for x in vec)
 
 
-def _kernel_columns(dec: SmithDecomposition):
-    """Columns rank, rank+1, ... of V, which span the kernel, read in one
-    pass over the transpose of V."""
-    return islice(zip(*dec.v.data), dec.rank, None)
-
-
-def integer_kernel_basis(a: IntMatrix):
-    """Basis of the lattice { z : a·z = 0 }, one vector per free column."""
-    dec = smith_normal_form(a)
-    basis = [_sign_normalised(col) for col in _kernel_columns(dec)]
+def _kernel_vectors(a: IntMatrix, dec: SmithDecomposition, positions) -> list[tuple[int, ...]]:
+    """Kernel basis vectors at the given positions: column rank + p of V for
+    each p, sign-normalised, each checked against a·v = 0."""
+    r = dec.rank
+    basis = [_sign_normalised(col) for col in dec.v.columns([r + p for p in positions])]
     # One product a·K with the basis vectors as the columns of K checks
     # a·v = 0 exactly for every vector at once.
     if basis and any(map(any, a.mul(IntMatrix(tuple(zip(*basis)))).data)):
         raise AssertionError("kernel vector fails a·v = 0")
     return basis
+
+
+def integer_kernel_basis(a: IntMatrix):
+    """Basis of the lattice { z : a·z = 0 }, one vector per free column."""
+    dec = smith_normal_form(a)
+    return _kernel_vectors(a, dec, range(a.cols - dec.rank))
+
+
+def odd_kernel_basis(a: IntMatrix, s) -> list[tuple[int, tuple[int, ...]]]:
+    """The vectors of `integer_kernel_basis(a)` that pair oddly with s, as
+    (position in that basis, vector) pairs. The parities of all basis
+    vectors come from the one row sᵀ·V, so only the odd columns of V are
+    built."""
+    dec = smith_normal_form(a)
+    parities = IntMatrix((tuple(s),)).mul(dec.v).data[0][dec.rank:]
+    positions = [p for p, x in enumerate(parities) if x % 2]
+    basis = _kernel_vectors(a, dec, positions)
+    if any(sum(map(operator.mul, vec, s)) % 2 == 0 for vec in basis):
+        raise AssertionError("odd kernel vector pairs evenly with s")
+    return list(zip(positions, basis))
 
 
 def _zero_free_directions(phi, kernel):
@@ -398,10 +526,10 @@ def solve_mod2_over_rationals(b: IntMatrix, s) -> tuple[Fraction, ...] | None:
     # entry divided by that denominator.
     diag = dec.diagonal
     denom = diag[r - 1] if r else 1
-    # psi is zero past the rank, so only the first r columns of V enter.
     psi = [us[i] % (2 * diag[i]) * (denom // diag[i]) for i in range(r)]
-    phi = [Fraction(sum(map(operator.mul, vrow, psi)), denom) for vrow in dec.v.data]
-    phi = _zero_free_directions(phi, _kernel_columns(dec))
+    psi += [0] * (b.cols - r)
+    phi = [Fraction(x, denom) for x in dec.v.mulvec(psi)]
+    phi = _zero_free_directions(phi, dec.v.columns(range(r, b.cols)))
     phi = tuple(x % 2 for x in phi)
     parts = [(x.numerator, x.denominator) for x in phi]
     for row, target in zip(b.data, s):

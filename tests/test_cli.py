@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from xorgames.cli import main
-from xorgames.games import generate_random_game, serialize_text
+from xorgames.games import Clause, Game, generate_random_game, serialize_text
 from xorgames.merp import MerpStrategy
 from xorgames.refutation import RefutationCertificate
 
@@ -594,12 +595,14 @@ def test_refutation_cap_abort_golden(tmp_path, capsys):
 
 # Exit code and sha256 of the certificate `decide` writes for
 # generate_random_game(k, n, m, seed): two PERFECT phase tables (the first
-# with quarter phases), a CLASSICALLY_PERFECT one and an obstruction witness.
+# with quarter phases), a CLASSICALLY_PERFECT one and an obstruction witness,
+# and a 1,131-byte obstruction at the largest inconclusive4 benchmark shape.
 GOLDEN_CERTIFICATES = {
     (5, 6, 24, 1): (0, "24d19ddae3f2f70e05b2e8743d0d0d78b0703e5b1eb397df17753bdeb17ca4ba"),
     (5, 6, 24, 3): (0, "d121fcda3e6ab500b378d13aaa5ee1f8350fcda6504e26a42d511fec50832c6c"),
     (4, 6, 12, 0): (0, "fee71a842565717401f41736fbb711d374242702132e3b6160cb6710694677b3"),
     (4, 6, 24, 0): (2, "8f7319733dc9c92e75601e4ff1b07ae40c2b640205afcd1966497ccc975c8098"),
+    (4, 40, 300, 1): (2, "ed74202bfc6fa62c6c2da062bf50b465a8b4e1425b411ea8375b627fd634ea0c"),
 }
 
 
@@ -611,6 +614,42 @@ def test_phase_and_witness_certificate_golden(tmp_path, capsys, shape):
     code, _, err = run(capsys, "decide", str(game), "--out", str(cert))
     assert (code, hashlib.sha256(cert.read_bytes()).hexdigest()) == GOLDEN_CERTIFICATES[shape]
     assert err == ""
+
+
+def planted_perfect_game(players: int, alphabet: int, num_clauses: int, seed: int) -> Game:
+    """A game won by a planted half-integer phase table, drawn as the
+    perfect_planted benchmark draws its games: random question tuples whose
+    phase sum is an integer, each parity that sum mod 2. Uniform random
+    games with this many players come out inconclusive instead."""
+    rng = random.Random(seed)
+    values = tuple(Fraction(i, 2) for i in range(4))
+    phi = [[rng.choice(values) for _ in range(alphabet)] for _ in range(players)]
+    clauses = []
+    while len(clauses) < num_clauses:
+        questions = tuple(rng.randrange(alphabet) for _ in range(players))
+        total = sum(phi[a][q] for a, q in enumerate(questions))
+        if total.denominator == 1:
+            clauses.append(Clause(questions, total.numerator % 2))
+    return Game(players, alphabet, tuple(clauses))
+
+
+# Exit code and sha256 of the certificate `decide` writes for
+# planted_perfect_game(k, n, m, seed) at the largest perfect_planted
+# benchmark shape: a half-integer phase table.
+GOLDEN_PLANTED = {
+    (10, 6, 120, 1): (0, "0219d818e6f295ab64c208774418538d37aa9edd3e9c80266b23625b8e7e9c9e"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_PLANTED))
+def test_planted_phase_certificate_golden(tmp_path, capsys, shape):
+    game = tmp_path / "g.txt"
+    game.write_text(serialize_text(planted_perfect_game(*shape)))
+    cert = tmp_path / "c.json"
+    code, out, err = run(capsys, "decide", str(game), "--out", str(cert))
+    assert (code, hashlib.sha256(cert.read_bytes()).hexdigest()) == GOLDEN_PLANTED[shape]
+    assert "verdict: PERFECT" in out and err == ""
+    assert run(capsys, "verify", str(game), str(cert))[:2] == (0, "PASS\n")
 
 
 def test_failed_self_check_exits_70_with_one_line(tmp_path, capsys, monkeypatch, ghz_file):
@@ -704,6 +743,31 @@ def test_decide_and_verify_never_build_dense_u(tmp_path, capsys, monkeypatch):
         cert = tmp_path / "c.json"
         assert run(capsys, "decide", str(game), "--out", str(cert))[0] == expected, shape
         assert run(capsys, "verify", str(game), str(cert))[:2] == (0, "PASS\n"), shape
+
+
+def test_decide_and_verify_never_build_dense_transforms(tmp_path, capsys, monkeypatch):
+    # U and V are only ever replayed from their operation logs; multiplying
+    # either out is for tests and tracing. A refutation, a half-integer and
+    # a classical phase table, and an obstruction at benchmark size.
+    from xorgames.intlinalg import ColumnOperations, RowOperations
+
+    def dense(self):
+        raise RuntimeError("dense transform built")
+
+    monkeypatch.setattr(RowOperations, "data", property(dense))
+    monkeypatch.setattr(ColumnOperations, "data", property(dense))
+    cases = [
+        (generate_random_game(3, 12, 60, 1), 1),
+        (planted_perfect_game(10, 6, 120, 1), 0),
+        (generate_random_game(4, 6, 12, 0), 0),
+        (generate_random_game(4, 40, 300, 1), 2),
+    ]
+    for game_value, expected in cases:
+        game = tmp_path / "g.txt"
+        game.write_text(serialize_text(game_value))
+        cert = tmp_path / "c.json"
+        assert run(capsys, "decide", str(game), "--out", str(cert))[0] == expected
+        assert run(capsys, "verify", str(game), str(cert))[:2] == (0, "PASS\n")
 
 
 def test_one_process_runs_commands_in_sequence(tmp_path, capsys, monkeypatch):

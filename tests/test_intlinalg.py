@@ -11,12 +11,14 @@ from xorgames import intlinalg
 from xorgames.decider import incidence_matrix
 from xorgames.games import generate_random_game
 from xorgames.intlinalg import (
+    ColumnOperations,
     IntMatrix,
     RowOperations,
     SmithDecomposition,
     _check_decomposition,
     congruent_mod2,
     integer_kernel_basis,
+    odd_kernel_basis,
     smith_normal_form,
     solve_mod2_over_rationals,
 )
@@ -546,6 +548,99 @@ def test_check_rejects_a_corrupted_row_operation_log():
         bad = SmithDecomposition(u=RowOperations(3, log), d=dec.d, v=dec.v)
         with pytest.raises(AssertionError, match="U\\*A\\*V == D"):
             _check_decomposition(EVERY_KIND, bad)
+
+
+def _column_elementary(op, n: int) -> IntMatrix:
+    """The n×n matrix of one logged column operation, built entry by entry."""
+    kind, t, arg = op
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    if kind == "swap":
+        rows[t], rows[arg] = rows[arg], rows[t]
+    else:
+        assert kind == "sub"
+        for j, q in arg:
+            rows[t][j] = -q
+    return IntMatrix.from_rows(rows)
+
+
+def _dense_columns(m: IntMatrix, js):
+    return [tuple(row[j] for row in m.data) for j in js]
+
+
+def test_column_operations_match_the_dense_transform():
+    # An IntMatrix cannot have zero rows and three columns (its width is
+    # read off its first row), so the empty shapes are the 0×0 and 3×0
+    # matrices of _log_shapes and the empty selection of columns.
+    rng, cases = _log_shapes()
+    kinds = set()
+    for a in cases:
+        v = smith_normal_form(a).v
+        assert isinstance(v, ColumnOperations)
+        kinds.update(op[0] for op in v.log)
+        # data is the log multiplied out, one elementary matrix at a time.
+        dense = _identity(a.cols)
+        for op in v.log:
+            dense = naive_product(dense, _column_elementary(op, a.cols))
+        assert v.data == dense.data and v == dense and dense == v
+        assert (v.rows, v.cols) == (a.cols, a.cols)
+        # a·V, and sᵀ·V for a 0/1 row s.
+        parity = IntMatrix((tuple(rng.randrange(2) for _ in range(a.cols)),))
+        assert parity.mul(v) == naive_product(parity, dense)
+        for rows in (1, rng.randrange(2, 7)):
+            x = sparse_random(rng, rows, a.cols, 0.4, 70) if a.cols else IntMatrix(((),) * rows)
+            assert x.mul(v) == naive_product(x, dense)
+        vec = tuple(rng.randint(-9, 9) for _ in range(a.cols))
+        assert v.mulvec(vec) == dense.mulvec(vec)
+        shuffled = rng.sample(range(a.cols), rng.randrange(a.cols + 1))
+        for js in (range(a.cols), shuffled, shuffled[::-1], []):
+            assert v.columns(js) == _dense_columns(dense, js)
+    assert kinds == {"swap", "sub"}
+
+
+def test_column_operations_reject_mismatched_shapes():
+    v = smith_normal_form(CHECKED).v
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        IntMatrix.from_rows([[1, 2]] * 2).mul(v)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        v.mulvec((1, 2))
+
+
+def test_check_rejects_a_corrupted_column_operation_log():
+    dec = smith_normal_form(CHECKED)
+    assert {op[0] for op in dec.v.log} == {"swap", "sub"}
+    bad_logs = list(_corrupted_logs(dec.v.log))
+    assert len(bad_logs) >= 5
+    for log in bad_logs:
+        bad = SmithDecomposition(u=dec.u, d=dec.d, v=ColumnOperations(3, log))
+        with pytest.raises(AssertionError, match="U\\*A\\*V == D"):
+            _check_decomposition(CHECKED, bad)
+
+
+def _odd_by_filtering(a: IntMatrix, s):
+    """Reference: the whole kernel basis, kept where it pairs oddly with s."""
+    return [
+        (pos, vec) for pos, vec in enumerate(integer_kernel_basis(a))
+        if sum(z * x for z, x in zip(vec, s)) % 2
+    ]
+
+
+def test_odd_kernel_basis_matches_filtering_the_whole_basis():
+    shapes = [
+        (players, n, m, seed)
+        for seed in range(8)
+        for players in (2, 3, 4)
+        for n, m in ((2, 3), (3, 9), (4, 16), (5, 25))
+    ]
+    shapes += [(4, 40, 300, seed) for seed in range(4)]
+    outcomes = set()
+    for shape in shapes:
+        game = generate_random_game(*shape)
+        a = incidence_matrix(game).transpose()
+        s = [c.parity for c in game.clauses]
+        expected = _odd_by_filtering(a, s)
+        assert odd_kernel_basis(a, s) == expected, shape
+        outcomes.add(bool(expected))
+    assert outcomes == {True, False}
 
 
 def _fraction_congruent(coeffs, values, target) -> bool:
