@@ -38,7 +38,6 @@ from .intlinalg import (
 from .merp import (
     MerpStrategy,
     StrategyValue,
-    analytic_merp_value,
     simulate_merp_value,
     solve_merp,
     verify_merp_symbolic,

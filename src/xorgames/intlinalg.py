@@ -27,9 +27,10 @@ sparse, and so is A·V).
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from math import lcm
 
 
@@ -87,8 +88,11 @@ class IntMatrix:
             for row in self.data
         )
 
-    def columns(self, js) -> list[tuple[int, ...]]:
-        return [tuple(row[j] for row in self.data) for j in js]
+    def columns(self, js) -> Iterator[dict[int, int]]:
+        """Columns js, in the order given and one at a time, each as the
+        {row: entry} dict of its nonzero entries."""
+        for j in js:
+            yield {i: row[j] for i, row in enumerate(self.data) if row[j]}
 
 
 class _OperationLog:
@@ -213,12 +217,15 @@ class ColumnOperations(_OperationLog):
                 x[t], x[arg] = x[arg], x[t]
         return tuple(x)
 
-    def columns(self, js) -> list[tuple[int, ...]]:
-        """Columns js of V, in the order given: V times the unit vectors e_j,
-        replayed backward on the rows of that block only. A row of the block
-        is None while it is zero, the index c while it is the block's c-th
-        unit vector, and a list once it is anything else, so an operation
-        whose source row is a unit changes one entry, not a whole row."""
+    def columns(self, js) -> Iterator[dict[int, int]]:
+        """Columns js of V, in the order given and one at a time, each as the
+        {row: entry} dict of its nonzero entries: V times the unit vectors
+        e_j, replayed backward on the rows of that block only. A row of the
+        block is None while it is zero, the index c while it is the block's
+        c-th unit vector, and a list once it is anything else, so an
+        operation whose source row is a unit changes one entry, not a whole
+        row. Zero and unit rows are never built: a column is read off the
+        list rows, plus a 1 where its unit row is."""
         js = list(js)
         width = len(js)
         rows: list = [None] * self.rows
@@ -246,7 +253,19 @@ class ColumnOperations(_OperationLog):
             if sources:
                 target = [x - sum(map(operator.mul, qs, ys)) for x, ys in zip(target, zip(*sources))]
             rows[t] = target
-        return list(zip(*(row if isinstance(row, list) else _unit_row(row, width) for row in rows)))
+        # Each unit vector sits in one row at most: a swap moves it and an
+        # operation on its row turns that row into a list.
+        unit_row = {c: t for t, c in enumerate(rows) if type(c) is int}
+        positions = [t for t, row in enumerate(rows) if isinstance(row, list)]
+        block = [rows[t] for t in positions]
+        # zip transposes the list rows lazily, one column per step; with no
+        # list rows, every column is its unit row alone.
+        for c, col in enumerate(zip(*block) if block else [()] * width):
+            entries = dict(compress(zip(positions, col), col))
+            t = unit_row.get(c)
+            if t is not None:
+                entries[t] = 1
+            yield entries
 
 
 @dataclass(frozen=True)
@@ -437,7 +456,11 @@ def _kernel_vectors(a: IntMatrix, dec: SmithDecomposition, positions) -> list[tu
     """Kernel basis vectors at the given positions: column rank + p of V for
     each p, sign-normalised, each checked against a·v = 0."""
     r = dec.rank
-    basis = [_sign_normalised(col) for col in dec.v.columns([r + p for p in positions])]
+    n = dec.v.rows
+    basis = [
+        _sign_normalised(tuple(map(col.get, range(n), repeat(0))))
+        for col in dec.v.columns([r + p for p in positions])
+    ]
     # One product a·K with the basis vectors as the columns of K checks
     # a·v = 0 exactly for every vector at once.
     if basis and any(map(any, a.mul(IntMatrix(tuple(zip(*basis)))).data)):
@@ -469,15 +492,16 @@ def _zero_free_directions(phi, kernel):
     """Subtract rational multiples of kernel vectors so the solution is zero
     on the kernel's leading coordinates; leaves b·phi untouched.
 
-    The kernel is brought to echelon form keyed by leading coordinate, each
-    row held as a {column: Fraction} dict of its nonzero entries. The set of
+    The kernel vectors arrive one at a time, each as the {coordinate: entry}
+    dict of its nonzero entries, and are brought to echelon form keyed by
+    leading coordinate, each row held as such a dict of Fractions. The set of
     leading coordinates of a subspace does not depend on its basis, and phi
     is the one solution that is zero on all of them, so the result does not
     depend on the basis or the order of reduction either.
     """
     echelon = {}
     for vec in kernel:
-        row = dict(zip(compress(range(len(vec)), vec), map(Fraction, compress(vec, vec))))
+        row = {k: Fraction(x) for k, x in vec.items()}
         while row:
             lead = min(row)
             prev = echelon.get(lead)

@@ -8,8 +8,8 @@ mod 2, a linear diophantine condition solved exactly over the rationals.
 GF(2) alone is not enough: some perfect games need half-integer phases.
 
 Phases are exact Fractions end to end; floats appear only inside the
-numerical simulator and its closed-form cross-check. Each observable maps a
-basis state to one basis state, so the GHZ state stays two-sparse.
+numerical simulator. Each observable maps a basis state to one basis state,
+so the GHZ state stays two-sparse.
 """
 
 from __future__ import annotations
@@ -58,20 +58,26 @@ class MerpStrategy:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MerpStrategy":
-        return cls(tuple(tuple(_phase(entry) for entry in row) for row in obj["phi"]))
+        # A table repeats a few phase strings many times: each distinct
+        # string is matched and parsed once, in first-seen order, so a bad
+        # entry raises exactly where it would without the cache.
+        parsed: dict[str, Fraction] = {}
+
+        def phase(entry) -> Fraction:
+            if not isinstance(entry, str):
+                return _phase(entry)
+            x = parsed.get(entry)
+            if x is None:
+                x = parsed[entry] = _phase(entry)
+            return x
+
+        return cls(tuple(tuple(map(phase, row)) for row in obj["phi"]))
 
 
 @dataclass(frozen=True)
 class StrategyValue:
     value: float
     exact_perfect: bool
-
-
-def clause_phase_sum(game: Game, strat: MerpStrategy, i: int) -> Fraction:
-    c = game.clauses[i]
-    return sum(
-        (strat.phi[a][q] for a, q in enumerate(c.questions)), Fraction(0)
-    )
 
 
 def solve_merp(game: Game) -> MerpStrategy | None:
@@ -111,15 +117,27 @@ def merp_observable(theta: float) -> tuple[tuple[complex, ...], ...]:
     return _matmul(_matmul(phase, pauli_x), phase_dagger)
 
 
-def _apply_single_qubit(op, psi: dict[int, complex], qubit: int, k: int) -> dict[int, complex]:
-    """op on one qubit (0 = most significant bit) of a sparse {index: amplitude}."""
-    mask = 1 << (k - 1 - qubit)
+def _nonzero_columns(op):
+    """The columns of a 2x2 op as their nonzero entries, row 0 first, each
+    as (lands on the index with the qubit set, entry)."""
+    (a, b), (c, d) = op
+    return (
+        tuple((high, x) for high, x in ((False, a), (True, c)) if x),
+        tuple((high, x) for high, x in ((False, b), (True, d)) if x),
+    )
+
+
+def _apply_single_qubit(columns, psi: dict[int, complex], mask: int) -> dict[int, complex]:
+    """A 2x2 op, given by `_nonzero_columns`, on the qubit `mask` selects
+    of a sparse {index: amplitude}. A basis state whose qubit holds `bit`
+    receives column `bit`: row 0 lands on the index with the qubit cleared,
+    row 1 on the index with it set. A zero entry adds no amplitude."""
     out: dict[int, complex] = {}
     for index, amp in psi.items():
-        bit = 1 if index & mask else 0
-        for row, target in ((0, index & ~mask), (1, index | mask)):
-            if op[row][bit]:  # a zero entry adds no amplitude
-                out[target] = out.get(target, 0j) + op[row][bit] * amp
+        low = index & ~mask
+        for high, x in columns[index & mask != 0]:
+            target = low | mask if high else low
+            out[target] = out.get(target, 0j) + x * amp
     return out
 
 
@@ -127,32 +145,36 @@ def simulate_merp_value(game: Game, strat: MerpStrategy) -> StrategyValue:
     """State-vector evaluation of the expected score.
 
     Independent of the closed-form cosine expression: applies each 2x2
-    observable to its qubit of the GHZ state and takes inner products.
+    observable to its qubit of the GHZ state and takes inner products. A
+    table holds few distinct phases, so the observable of each distinct
+    phase mod 2 is built once and shared by every entry that has it.
     """
     k = game.players
     if strat.players != k or strat.alphabet < game.alphabet:
         raise ValueError("strategy dimensions do not match the game")
-    # The observable has period 2 in phi: reducing first keeps float() finite.
-    ops = [[merp_observable(float(x % 2) * math.pi / 2) for x in row] for row in strat.phi]
+    built: dict[Fraction, tuple] = {}
+
+    def observable(x: Fraction):
+        # The observable has period 2 in phi: reducing first keeps float()
+        # finite.
+        x %= 2
+        op = built.get(x)
+        if op is None:
+            op = built[x] = _nonzero_columns(merp_observable(float(x) * math.pi / 2))
+        return op
+
+    ops = [list(map(observable, row)) for row in strat.phi]
+    masks = [1 << (k - 1 - a) for a in range(k)]
     psi = {0: 1 / math.sqrt(2) + 0j, (1 << k) - 1: 1 / math.sqrt(2) + 0j}
+    bra = [(i, amp.conjugate()) for i, amp in psi.items()]
     total = 0.0
     for c in game.clauses:
         vec = psi
-        for a, q in enumerate(c.questions):
-            vec = _apply_single_qubit(ops[a][q], vec, a, k)
-        overlap = sum(amp.conjugate() * vec.get(i, 0j) for i, amp in psi.items())
+        for row, q, mask in zip(ops, c.questions, masks):
+            vec = _apply_single_qubit(row[q], vec, mask)
+        overlap = sum(conj * vec.get(i, 0j) for i, conj in bra)
         total += ((-1) ** c.parity) * overlap.real
     value = 0.5 + total / (2 * game.num_clauses)
     if not -1e-12 <= value <= 1 + 1e-12:
         raise AssertionError(f"simulated value {value} outside [0, 1]")
     return StrategyValue(value=value, exact_perfect=verify_merp_symbolic(game, strat))
-
-
-def analytic_merp_value(game: Game, strat: MerpStrategy) -> float:
-    """Closed form: 1/2 + (1/2m) * sum_j (-1)^s_j cos(pi * phase sum)."""
-    total = sum(
-        ((-1) ** c.parity) * math.cos(math.pi * float(clause_phase_sum(game, strat, i) % 2))
-        for i, c in enumerate(game.clauses)
-    )
-    return 0.5 + total / (2 * game.num_clauses)
-

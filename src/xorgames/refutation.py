@@ -210,15 +210,27 @@ class Homomorphisms:
         y = reduce_letters(_alternate(self.residue[0], letters))
         return reduce_letters(_alternate(self.residue[1], y))
 
-    def preprocess(self, w: tuple[int, ...]) -> tuple[tuple[int, ...], GroupWord]:
+    def preprocess(
+        self, w: tuple[int, ...], cap: int = DEFAULT_CAP
+    ) -> tuple[tuple[int, ...], GroupWord]:
         """Clear players 1 and 2 exactly, preserving the abelian image.
-        Returns the new clause word and its normal form."""
+        Returns the new clause word and its normal form.
+
+        The word for player 1 has one clause per letter, so it is no longer
+        than w. The word for player 2 has one path word per letter, so it
+        can be far longer: its length is priced first, and the whole word
+        is checked against the cap before that part is built."""
         if not abelianize_clause_word(self.game, w).is_sign():
             raise ValueError("preprocess input must abelianize to the sign element")
         red = reduce_clause_word(self.game, w)
         clear1 = self.phi_simple(0, red.per_player[0][::-1])
         red = multiply(red, reduce_clause_word(self.game, clear1))
-        clear2 = self.phi_pair(1, 0, red.per_player[1][::-1])
+        letters = red.per_player[1][::-1]
+        paths = self.paths[(1, 0)]
+        length = len(w) + len(clear1) + sum(len(paths[q]) for q in letters)
+        if length > cap:
+            raise WordLengthCapExceeded("preprocess", length, cap)
+        clear2 = self.phi_pair(1, 0, letters)
         red = multiply(red, reduce_clause_word(self.game, clear2))
         w += clear1 + clear2
         if red.per_player[0] or red.per_player[1]:
@@ -239,8 +251,12 @@ def construct_sigma_word(
             raise WordLengthCapExceeded(stage, len(cw), cap)
         return cw
 
-    w, red = hom.preprocess(witness_clause_word(game, z))
-    guard("preprocess", w)
+    # The witness word holds 2|z_i| clauses for each i >= 2: its length is
+    # priced before it is built, since z can have entries in the millions.
+    length = 2 * sum(abs(int(x)) for x in z[1:])
+    if length > cap:
+        raise WordLengthCapExceeded("witness word", length, cap)
+    w, red = hom.preprocess(witness_clause_word(game, z), cap)
 
     y1 = red.per_player[2]
     if not is_parity_trivial(y1):

@@ -1,12 +1,54 @@
 """Helpers the tests share that are not part of the library: they read its
 results, and no program path calls them."""
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 
-from xorgames.merp import _matmul, merp_observable
+from xorgames.merp import StrategyValue, _matmul, merp_observable, verify_merp_symbolic
 from xorgames.words import GroupWord, multiply, reduce_clause_word
+
+
+def analytic_merp_value(game, strat) -> float:
+    """Closed form: 1/2 + (1/2m) * sum_j (-1)^s_j cos(pi * phase sum)."""
+    total = 0.0
+    for c in game.clauses:
+        phase_sum = sum(strat.phi[a][q] for a, q in enumerate(c.questions))
+        total += ((-1) ** c.parity) * math.cos(math.pi * float(phase_sum % 2))
+    return 0.5 + total / (2 * game.num_clauses)
+
+
+def _reference_single_qubit(op, psi, qubit: int, k: int):
+    """op on one qubit (0 = most significant bit) of a sparse {index: amplitude}."""
+    mask = 1 << (k - 1 - qubit)
+    out = {}
+    for index, amp in psi.items():
+        bit = 1 if index & mask else 0
+        for row, target in ((0, index & ~mask), (1, index | mask)):
+            if op[row][bit]:  # a zero entry adds no amplitude
+                out[target] = out.get(target, 0j) + op[row][bit] * amp
+    return out
+
+
+def reference_simulate_merp_value(game, strat) -> StrategyValue:
+    """The state-vector simulator with one observable built per table
+    entry, as `simulate_merp_value` was before it shared one observable per
+    distinct phase: the library's result must equal this one exactly."""
+    k = game.players
+    if strat.players != k or strat.alphabet < game.alphabet:
+        raise ValueError("strategy dimensions do not match the game")
+    ops = [[merp_observable(float(x % 2) * math.pi / 2) for x in row] for row in strat.phi]
+    psi = {0: 1 / math.sqrt(2) + 0j, (1 << k) - 1: 1 / math.sqrt(2) + 0j}
+    total = 0.0
+    for c in game.clauses:
+        vec = psi
+        for a, q in enumerate(c.questions):
+            vec = _reference_single_qubit(ops[a][q], vec, a, k)
+        overlap = sum(amp.conjugate() * vec.get(i, 0j) for i, amp in psi.items())
+        total += ((-1) ** c.parity) * overlap.real
+    value = 0.5 + total / (2 * game.num_clauses)
+    return StrategyValue(value=value, exact_perfect=verify_merp_symbolic(game, strat))
 
 
 def observables_pairwise_commute(thetas, tol: float = 1e-12) -> bool:

@@ -14,13 +14,14 @@ from xorgames.decider import decide
 from xorgames.games import generate_random_game, make_game, parse_text
 from xorgames.graphs import decompose_components, gadget_word
 from xorgames.intlinalg import IntMatrix, smith_normal_form
-from xorgames.merp import analytic_merp_value, simulate_merp_value, solve_merp, verify_merp_symbolic
+from xorgames.merp import simulate_merp_value, solve_merp, verify_merp_symbolic
 from xorgames.oracle import classical_value
 from xorgames.refutation import Homomorphisms, construct_sigma_word
 from xorgames.words import GroupWord, is_parity_trivial, reduce_clause_word, reduce_letters
 
 from helpers import (
     SearchStatus,
+    analytic_merp_value,
     bounded_sigma_search,
     canon_letters,
     observables_pairwise_commute,

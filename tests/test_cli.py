@@ -478,8 +478,10 @@ def test_out_of_memory_has_its_own_exit_code(tmp_path):
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
+    # One clause over an alphabet of 2,000,000: labelling the components of
+    # its 6,000,000 (player, question) vertices alone needs more than 512 MiB.
     game = tmp_path / "wide.txt"
-    game.write_text("# alphabet: 200000\n1 1 1 0\n")
+    game.write_text("# alphabet: 2000000\n1 1 1 0\n")
     cert = tmp_path / "cert.json"
     proc = subprocess.run(
         [sys.executable, "-m", "xorgames", "decide", str(game), "--out", str(cert)],
@@ -606,7 +608,7 @@ GOLDEN_CERTIFICATES = {
 }
 
 
-@pytest.mark.parametrize("shape", sorted(GOLDEN_CERTIFICATES))
+@pytest.mark.parametrize("shape", sorted(GOLDEN_CERTIFICATES), ids=str)
 def test_phase_and_witness_certificate_golden(tmp_path, capsys, shape):
     game = tmp_path / "g.txt"
     game.write_text(serialize_text(generate_random_game(*shape)))

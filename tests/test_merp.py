@@ -6,19 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from xorgames import intlinalg
+from xorgames import intlinalg, merp
 from xorgames.decider import decide
 from xorgames.games import generate_random_game, make_game, parse_text
 from xorgames.merp import (
     MerpStrategy,
-    analytic_merp_value,
     merp_observable,
     simulate_merp_value,
     solve_merp,
     verify_merp_symbolic,
 )
 
-from helpers import observables_pairwise_commute
+from helpers import analytic_merp_value, observables_pairwise_commute, reference_simulate_merp_value
 
 GHZ = parse_text("1 1 1 0\n1 2 2 1\n2 1 2 1\n2 2 1 1")
 PAIR = parse_text("1 1 1 0\n1 1 1 1")
@@ -139,6 +138,79 @@ def test_huge_phases_reduce_exactly():
     )
     assert abs(simulate_merp_value(GHZ, huge).value - 1) <= 1e-9
     assert abs(analytic_merp_value(GHZ, huge) - 1) <= 1e-9
+
+
+def test_simulator_equals_the_per_entry_reference_exactly():
+    # Half of the tables draw their entries from a small pool of dyadic and
+    # non-dyadic phases, negative ones and copies shifted by multiples of 2
+    # (the same observable from another value), so phases repeat. The other
+    # half are the game's solved table with entries moved by multiples of 2
+    # and players 1 and 2 shifted by +t and -t, which keeps it perfect.
+    rng = random.Random(211)
+    outcomes = set()
+    for players in range(2, 17):
+        for _ in range(8):
+            alphabet = rng.randrange(1, 5)
+            game = generate_random_game(players, alphabet, rng.randrange(1, 25),
+                                        seed=rng.randrange(10**6))
+            pool = [Fraction(rng.randint(-40, 40), rng.choice((1, 2, 4, 8, 3, 5, 6, 7)))
+                    for _ in range(rng.randrange(1, 5))]
+            pool += [x + 2 * rng.randint(-3, 3) for x in pool]
+            solved = solve_merp(game)
+            if solved is not None and rng.random() < 0.5:
+                t = rng.choice(pool)
+                phi = [[x + 2 * rng.randint(-2, 2) for x in row] for row in solved.phi]
+                phi[0] = [x + t for x in phi[0]]
+                phi[1] = [x - t for x in phi[1]]
+            else:
+                phi = [[rng.choice(pool) for _ in range(alphabet)] for _ in range(players)]
+            strat = MerpStrategy(tuple(map(tuple, phi)))
+            result = simulate_merp_value(game, strat)
+            expected = reference_simulate_merp_value(game, strat)
+            assert result.value == expected.value
+            assert result.exact_perfect == expected.exact_perfect
+            outcomes.add(result.exact_perfect)
+    assert outcomes == {True, False}
+
+
+def test_simulator_builds_one_observable_per_distinct_phase(monkeypatch):
+    # 3/2, 7/2 and -1/2 are one phase mod 2; 0 and 2 are another.
+    phi = ((Fraction(3, 2), Fraction(7, 2), Fraction(0)),
+           (Fraction(-1, 2), Fraction(2), Fraction(1, 3)),
+           (Fraction(0), Fraction(3, 2), Fraction(1, 3)))
+    game = generate_random_game(3, 3, 30, seed=5)
+    strat = MerpStrategy(phi)
+    angles = []
+    real = merp_observable
+
+    def counting(theta):
+        angles.append(theta)
+        return real(theta)
+
+    monkeypatch.setattr(merp, "merp_observable", counting)
+    assert simulate_merp_value(game, strat) == reference_simulate_merp_value(game, strat)
+    assert len(angles) == len(set(angles)) == 3
+
+
+def test_from_dict_parses_each_distinct_phase_string_once(monkeypatch):
+    parsed = []
+    real = merp._phase
+
+    def counting(entry):
+        parsed.append(entry)
+        return real(entry)
+
+    monkeypatch.setattr(merp, "_phase", counting)
+    table = {"phi": [["1/2", "0/1", "1/2"], ["0/1", 1, 1], ["1/2", "3/2", "0/1"]]}
+    strat = MerpStrategy.from_dict(table)
+    assert strat.phi == tuple(tuple(Fraction(x) for x in row) for row in table["phi"])
+    assert parsed == ["1/2", "0/1", 1, 1, "3/2"]
+    # A malformed entry still raises where it stands, after its good
+    # neighbours, even when an earlier copy of a good string was cached.
+    parsed.clear()
+    with pytest.raises(ValueError, match="'1e3' is not of the form"):
+        MerpStrategy.from_dict({"phi": [["1/2", "1/2"], ["1/2", "1e3"]]})
+    assert parsed == ["1/2", "1e3"]
 
 
 @pytest.mark.parametrize("phase", ["1e3", "1.5", " 1/2", "1/2\n", "½", "١/٢", "inf", "nan"])

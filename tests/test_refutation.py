@@ -189,6 +189,29 @@ def test_preprocess_random_member_games():
         assert is_parity_trivial(red.per_player[2])
 
 
+def test_preprocess_prices_its_clearing_word_before_building_it(monkeypatch):
+    # With the cap one below the word preprocess returns, it aborts with
+    # that word's length and builds no word for player 2.
+    checked = 0
+    games = [comp.game for seed in range(30)
+             for comp in decompose_components(generate_random_game(3, 6, 30, seed))]
+    for game in filter(lambda g: decide(g).member, games):
+        hom = Homomorphisms(game)
+        w = witness_clause_word(game, decide(game).obstruction_z)
+        out, _ = hom.preprocess(w)
+        assert hom.preprocess(w, cap=len(out))[0] == out
+        built = []
+        monkeypatch.setattr(hom, "phi_pair", lambda *args: built.append(args))
+        with pytest.raises(WordLengthCapExceeded) as err:
+            hom.preprocess(w, cap=len(out) - 1)
+        assert (err.value.stage, err.value.length) == ("preprocess", len(out))
+        assert built == []
+        monkeypatch.undo()
+        player1 = reduce_clause_word(game, w).per_player[0]
+        checked += len(out) > len(w) + len(player1)  # player 2 needed clearing
+    assert checked >= 4
+
+
 def test_preprocess_rejects_wrong_abelianization():
     hom = Homomorphisms(GHZ)
     with pytest.raises(ValueError):
@@ -495,6 +518,36 @@ def test_cap_aborts_cleanly_on_large_instances():
         refute(game, cap=20000)
     assert (err.value.stage, err.value.cap) == ("commutator decomposition", 20000)
     assert err.value.length > 20000
+
+
+def test_witness_word_is_priced_before_it_is_built(monkeypatch):
+    # The smallest odd Smith basis vector of this 400-clause game has
+    # entries in the millions: its witness word of 6,480,780 clauses would
+    # take tens of seconds to build and reduce. The cap stops it unbuilt.
+    game = generate_random_game(3, 80, 400, seed=0)
+
+    def unbuilt(game, z):
+        raise AssertionError("the witness word was built")
+
+    monkeypatch.setattr(refutation, "witness_clause_word", unbuilt)
+    with pytest.raises(WordLengthCapExceeded) as err:
+        refute(game)
+    assert (err.value.stage, err.value.length, err.value.cap) == ("witness word", 6480780, DEFAULT_CAP)
+
+
+def test_witness_word_price_is_its_length():
+    rng = random.Random(197)
+    for game in connected_games(rng, 20, member=True):
+        z = decide(game).obstruction_z
+        price = 2 * sum(map(abs, z[1:]))
+        assert len(witness_clause_word(game, z)) == price
+        with pytest.raises(WordLengthCapExceeded) as err:
+            construct_sigma_word(game, z, cap=price - 1)
+        assert (err.value.stage, err.value.length) == ("witness word", price)
+        try:
+            construct_sigma_word(game, z, cap=price)
+        except WordLengthCapExceeded as e:
+            assert e.stage != "witness word"
 
 
 def test_refute_driver_multi_component():
