@@ -31,7 +31,6 @@ from .graphs import (
 from .intlinalg import (
     IntMatrix,
     SmithDecomposition,
-    integer_kernel_basis,
     smith_normal_form,
     solve_mod2_over_rationals,
 )

@@ -58,24 +58,19 @@ class Game:
 
 
 def make_game(rows, alphabet=None) -> Game:
-    """Build a Game from (questions, parity) rows with 1-based questions."""
+    """Build a Game from (questions, parity) rows with 1-based questions.
+
+    Only converts: the first row sets the number of players, and the
+    alphabet is the largest index unless declared. `Game` validates the
+    result, so an index below 1 is reported there as out of range."""
     if not rows:
         raise GameFormatError("empty clause list")
-    k = len(rows[0][0])
-    if k < 2:
-        raise GameFormatError(f"need at least 2 players, got {k}")
-    clauses = []
-    max_q = 0
-    for questions, parity in rows:
-        if len(questions) != k:
-            raise GameFormatError("clauses disagree on the number of players")
-        for q in questions:
-            if q < 1:
-                raise GameFormatError(f"question index {q} must be >= 1")
-            max_q = max(max_q, q)
-        clauses.append(Clause(tuple(q - 1 for q in questions), parity))
-    n = alphabet if alphabet is not None else max_q
-    return Game(players=k, alphabet=n, clauses=tuple(clauses))
+    if alphabet is None:
+        # At least 1, so that a game of indices below 1 is reported for its
+        # indices, not for an empty alphabet that nobody declared.
+        alphabet = max(1, *[max(questions, default=0) for questions, _ in rows])
+    clauses = tuple(Clause(tuple([q - 1 for q in questions]), parity) for questions, parity in rows)
+    return Game(players=len(rows[0][0]), alphabet=alphabet, clauses=clauses)
 
 
 def parse_text(text: str) -> Game:

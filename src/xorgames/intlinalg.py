@@ -1,16 +1,22 @@
 """Exact integer and rational linear algebra.
 
-Dense arbitrary-precision arithmetic only; no floating point anywhere in this
-module. Smith normal form is computed with explicit elementary row/column
-operations. Neither transform comes out as a matrix: U is the log of the row
-operations (`RowOperations`) and V the log of the column operations
-(`ColumnOperations`). Each log is replayed only onto what it multiplies: U
-onto A·V in the self-check and onto the right-hand side in the phase solve;
-V forward onto the rows of A in the self-check and onto a parity row,
-backward onto the phase solve's ψ and onto the unit vectors of just the
-kernel columns a caller reads. The decomposition identity is rechecked
-before returning. Desk-scale sizes (a few hundred rows/columns) are the
-target.
+The package takes from here `smith_normal_form`; `odd_kernel_basis`, the
+integer kernel vectors that pair oddly with a parity vector (the witnesses
+`decide` chooses from); `solve_mod2_over_rationals`, the canonical rational
+solution of b·φ ≡ s (mod 2) (the phase table); and `congruent_mod2`, the
+exact parity test of a sum of rationals that the solve and `verify` apply.
+
+Arbitrary-precision integers and Fractions only; no floating point
+anywhere in this module. Smith normal form is computed with explicit
+elementary row/column operations. Neither transform comes out as a matrix:
+U is the log of the row operations (`RowOperations`) and V the log of the
+column operations (`ColumnOperations`). Each log is replayed only onto what
+it multiplies: U onto A·V in the self-check and onto the right-hand side in
+the phase solve; V forward onto the rows of A in the self-check and onto a
+parity row, backward onto the phase solve's ψ and onto the unit vectors of
+just the kernel columns a caller reads. The decomposition identity is
+rechecked before returning. Desk-scale sizes (a few hundred rows/columns)
+are the target.
 
 The elimination is tuned without changing its result: the pivot is still
 the first entry of smallest absolute value in row-major order and the
@@ -42,10 +48,6 @@ class IntMatrix:
         widths = {len(row) for row in self.data}
         if len(widths) > 1:
             raise ValueError("ragged rows")
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
 
     @property
     def rows(self) -> int:
@@ -79,21 +81,6 @@ class IntMatrix:
             out.append(tuple(acc))
         return IntMatrix(tuple(out))
 
-    def mulvec(self, v):
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        # Only the nonzero entries of each row are multiplied out.
-        return tuple(
-            sum(map(operator.mul, compress(row, row), compress(v, row)))
-            for row in self.data
-        )
-
-    def columns(self, js) -> Iterator[dict[int, int]]:
-        """Columns js, in the order given and one at a time, each as the
-        {row: entry} dict of its nonzero entries."""
-        for j in js:
-            yield {i: row[j] for i, row in enumerate(self.data) if row[j]}
-
 
 class _OperationLog:
     """A square matrix kept as the log of the elementary operations that
@@ -123,11 +110,6 @@ class _OperationLog:
             self._data = tuple(map(tuple, self._replay(_identity_rows(self.rows))))
         return self._data
 
-    def __eq__(self, other):
-        if isinstance(other, (IntMatrix, _OperationLog)):
-            return self.data == other.data
-        return NotImplemented
-
 
 class RowOperations(_OperationLog):
     """U as the log of its row operations:
@@ -137,7 +119,7 @@ class RowOperations(_OperationLog):
     ("fold", t, f)              R_t += R_f
     ("flip", t, None)           R_t = -R_t
 
-    Offers what callers use of an `IntMatrix` U.
+    U·X and U·x replay the log forward on the rows of X and on x.
     """
 
     __slots__ = ()
@@ -178,8 +160,8 @@ class ColumnOperations(_OperationLog):
 
     V is the identity times one elementary matrix per operation, so X·V
     replays the log forward on the columns of X, and V·x replays it backward
-    on the entries of x. Offers what callers use of an `IntMatrix` V;
-    `IntMatrix.mul` hands a ColumnOperations operand to `premul`.
+    on the entries of x. `IntMatrix.mul` hands a ColumnOperations operand
+    to `premul`.
     """
 
     __slots__ = ()
@@ -272,14 +254,13 @@ class ColumnOperations(_OperationLog):
 class SmithDecomposition:
     """U·A·V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    `smith_normal_form` returns U and V as the `RowOperations` and
-    `ColumnOperations` logs of its elimination; a decomposition built by
-    hand may hold any `IntMatrix` for either.
+    U and V are the `RowOperations` and `ColumnOperations` logs of the
+    elimination that `smith_normal_form` ran.
     """
 
-    u: IntMatrix | RowOperations
+    u: RowOperations
     d: IntMatrix
-    v: IntMatrix | ColumnOperations
+    v: ColumnOperations
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -468,17 +449,12 @@ def _kernel_vectors(a: IntMatrix, dec: SmithDecomposition, positions) -> list[tu
     return basis
 
 
-def integer_kernel_basis(a: IntMatrix):
-    """Basis of the lattice { z : a·z = 0 }, one vector per free column."""
-    dec = smith_normal_form(a)
-    return _kernel_vectors(a, dec, range(a.cols - dec.rank))
-
-
 def odd_kernel_basis(a: IntMatrix, s) -> list[tuple[int, tuple[int, ...]]]:
-    """The vectors of `integer_kernel_basis(a)` that pair oddly with s, as
-    (position in that basis, vector) pairs. The parities of all basis
-    vectors come from the one row sᵀ·V, so only the odd columns of V are
-    built."""
+    """The basis vectors of the lattice { z : a·z = 0 } that pair oddly
+    with s, as (position in that basis, vector) pairs. The basis is one
+    vector per free column, columns rank, rank + 1, ... of V. The parities
+    of all basis vectors come from the one row sᵀ·V, so only the odd
+    columns of V are built."""
     dec = smith_normal_form(a)
     parities = IntMatrix((tuple(s),)).mul(dec.v).data[0][dec.rank:]
     positions = [p for p, x in enumerate(parities) if x % 2]

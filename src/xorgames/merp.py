@@ -30,9 +30,11 @@ _PHASE_STRING = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def _phase(entry) -> Fraction:
-    """Fraction() would also read exponent notation, so a short string such
-    as "2e30000000" could expand into an integer of any size."""
-    if isinstance(entry, str) and not _PHASE_STRING.fullmatch(entry):
+    """A phase as `to_dict` writes it, or a JSON integer. Fraction() would
+    also read exponent notation, so a short string such as "2e30000000"
+    could expand into an integer of any size, and it would take a boolean
+    or a float as well."""
+    if type(entry) is not int and not (isinstance(entry, str) and _PHASE_STRING.fullmatch(entry)):
         raise ValueError(f"phase {entry!r} is not of the form p or p/q")
     return Fraction(entry)
 

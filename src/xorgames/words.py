@@ -59,10 +59,6 @@ class GroupWord:
         object.__setattr__(self, "sigma", self.sigma & 1)
 
     @classmethod
-    def identity(cls, players: int) -> "GroupWord":
-        return cls(tuple(() for _ in range(players)), 0)
-
-    @classmethod
     def sign(cls, players: int) -> "GroupWord":
         return cls(tuple(() for _ in range(players)), 1)
 

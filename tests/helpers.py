@@ -1,13 +1,65 @@
 """Helpers the tests share that are not part of the library: they read its
-results, and no program path calls them."""
+results, and no program path calls them.
+
+Dense references for what the library keeps sparse or as logs:
+- `DenseMatrix`, an `IntMatrix` with the matrix-vector product and the
+  column reads that the library has only on its operation logs, so a test
+  can hand `_check_decomposition` and `_kernel_vectors` a transform with a
+  changed entry;
+- `integer_kernel_basis`, the whole kernel basis, of which `decide` builds
+  only the odd vectors;
+- `reference_simulate_merp_value`, one observable per table entry.
+
+Besides them: `matrix` (an `IntMatrix` from nested rows), `identity_word`,
+the closed-form `analytic_merp_value`, the canonical form `canon_letters`
+and the breadth-first `bounded_sigma_search`.
+"""
 
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 
+from xorgames import intlinalg
+from xorgames.intlinalg import IntMatrix
 from xorgames.merp import StrategyValue, _matmul, merp_observable, verify_merp_symbolic
 from xorgames.words import GroupWord, multiply, reduce_clause_word
+
+
+def matrix(rows) -> IntMatrix:
+    """An IntMatrix from any nested sequence of integer rows."""
+    return IntMatrix(tuple(tuple(row) for row in rows))
+
+
+class DenseMatrix(IntMatrix):
+    """An IntMatrix that also offers `mulvec` and `columns`, and that equals
+    any IntMatrix with the same entries."""
+
+    def __eq__(self, other):
+        return isinstance(other, IntMatrix) and self.data == other.data
+
+    def mulvec(self, v) -> tuple[int, ...]:
+        if len(v) != self.cols:
+            raise ValueError("dimension mismatch")
+        return tuple(sum(x * y for x, y in zip(row, v)) for row in self.data)
+
+    def columns(self, js):
+        """Columns js, in the order given, each as the {row: entry} dict of
+        its nonzero entries, as `ColumnOperations.columns` yields them."""
+        for j in js:
+            yield {i: row[j] for i, row in enumerate(self.data) if row[j]}
+
+
+def integer_kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
+    """Basis of the lattice { z : a·z = 0 }, one vector per free column,
+    each checked against a·z = 0 by the library. `smith_normal_form` is
+    looked up when called, so a test can patch it."""
+    dec = intlinalg.smith_normal_form(a)
+    return intlinalg._kernel_vectors(a, dec, range(a.cols - dec.rank))
+
+
+def identity_word(players: int) -> GroupWord:
+    return GroupWord(((),) * players)
 
 
 def analytic_merp_value(game, strat) -> float:
@@ -122,7 +174,7 @@ def bounded_sigma_search(game, max_len: int, cap: int = 10**6) -> SigmaSearchRes
     (`GroupWord`, `multiply`) and searches independently only over which
     clause products to form.
     """
-    identity = GroupWord.identity(game.players)
+    identity = identity_word(game.players)
     target = GroupWord.sign(game.players)
     gens = [reduce_clause_word(game, (i,)) for i in range(game.num_clauses)]
     parent: dict[GroupWord, tuple[GroupWord, int] | None] = {identity: None}

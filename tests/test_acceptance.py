@@ -13,7 +13,7 @@ from itertools import product
 from xorgames.decider import decide
 from xorgames.games import generate_random_game, make_game, parse_text
 from xorgames.graphs import decompose_components, gadget_word
-from xorgames.intlinalg import IntMatrix, smith_normal_form
+from xorgames.intlinalg import smith_normal_form
 from xorgames.merp import simulate_merp_value, solve_merp, verify_merp_symbolic
 from xorgames.oracle import classical_value
 from xorgames.refutation import Homomorphisms, construct_sigma_word
@@ -24,6 +24,7 @@ from helpers import (
     analytic_merp_value,
     bounded_sigma_search,
     canon_letters,
+    matrix,
     observables_pairwise_commute,
 )
 
@@ -355,7 +356,7 @@ def test_criterion_7_algebraic_property_suites():
     for _ in range(500):
         rows = rng.randrange(1, 13)
         cols = rng.randrange(1, 13)
-        a = IntMatrix.from_rows(
+        a = matrix(
             [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         )
         dec = smith_normal_form(a)

@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 
 from xorgames.cli import main
-from xorgames.games import Clause, Game, generate_random_game, serialize_text
+from xorgames.games import (
+    Clause,
+    Game,
+    GameFormatError,
+    generate_random_game,
+    parse_game,
+    serialize_text,
+)
 from xorgames.merp import MerpStrategy
 from xorgames.refutation import RefutationCertificate
 
@@ -192,6 +199,31 @@ def test_decide_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "decide", str(game))
     assert code == 65
     assert "error:" in err
+
+
+# Question indices are 1-based: 0 and negative indices are malformed, and so
+# is a clause with fewer questions than the first one.
+BAD_QUESTIONS = {
+    "text_zero": "1 0 1 0\n",
+    "text_only_zeros": "0 0 0\n",
+    "text_negative": "1 -3 1 0\n",
+    "text_ragged": "1 1 1 0\n1 1 0\n",
+    "json_zero": '{"clauses": [{"q": [1, 0, 1], "s": 0}]}',
+    "json_negative": '{"alphabet": 2, "clauses": [{"q": [1, -3, 1], "s": 0}]}',
+    "json_ragged": '{"clauses": [{"q": [1, 1, 1], "s": 0}, {"q": [1, 1], "s": 0}]}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_QUESTIONS))
+def test_bad_question_indices_are_bad_games(tmp_path, capsys, case):
+    with pytest.raises(GameFormatError):
+        parse_game(BAD_QUESTIONS[case])
+    game = tmp_path / "bad.game"
+    game.write_text(BAD_QUESTIONS[case])
+    code, out, err = run(capsys, "decide", str(game), "--out", str(tmp_path / "c.json"))
+    assert (code, out) == (65, "")
+    assert err.startswith("error: bad game: ") and err.count("\n") == 1
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_decide_missing_file(capsys):
@@ -431,6 +463,10 @@ def test_verify_rejects_a_phase_the_float_simulation_cannot_see(tmp_path, capsys
         ("+0/1", 0),
         ("-4/2", 0),
         ("2", 0),
+        # JSON values in place of a string: only an integer is a phase.
+        (False, 65),
+        (0.5, 65),
+        (0, 0),
     ],
 )
 def test_phase_strings_only_in_the_written_form(tmp_path, capsys, ghz_file, command, phase, code):
@@ -643,7 +679,7 @@ GOLDEN_PLANTED = {
 }
 
 
-@pytest.mark.parametrize("shape", sorted(GOLDEN_PLANTED))
+@pytest.mark.parametrize("shape", sorted(GOLDEN_PLANTED), ids=str)
 def test_planted_phase_certificate_golden(tmp_path, capsys, shape):
     game = tmp_path / "g.txt"
     game.write_text(serialize_text(planted_perfect_game(*shape)))

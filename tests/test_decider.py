@@ -11,6 +11,8 @@ from xorgames.decider import (
 )
 from xorgames.games import generate_random_game, parse_text
 
+from helpers import DenseMatrix
+
 GHZ = parse_text("1 1 1 0\n1 2 2 1\n2 1 2 1\n2 2 1 1")
 PAIR = parse_text("1 1 1 0\n1 1 1 1")
 CHSH = parse_text("1 1 1\n2 1 0\n1 2 0\n2 2 0")
@@ -142,7 +144,7 @@ def dense_check_obstruction(game, z):
     """The witness predicate as the dense product Bᵀz plus the parity sum."""
     if len(z) != game.num_clauses:
         return False
-    if any(incidence_matrix(game).transpose().mulvec(z)):
+    if any(DenseMatrix(incidence_matrix(game).transpose().data).mulvec(z)):
         return False
     return sum(zi * c.parity for zi, c in zip(z, game.clauses)) % 2 == 1
 

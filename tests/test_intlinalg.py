@@ -18,15 +18,16 @@ from xorgames.intlinalg import (
     SmithDecomposition,
     _check_decomposition,
     congruent_mod2,
-    integer_kernel_basis,
     odd_kernel_basis,
     smith_normal_form,
     solve_mod2_over_rationals,
 )
 
+from helpers import DenseMatrix, integer_kernel_basis, matrix
 
-def _identity(n: int) -> IntMatrix:
-    return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+def _identity(n: int) -> DenseMatrix:
+    return DenseMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
 def det(m: IntMatrix) -> Fraction:
@@ -53,7 +54,7 @@ def det(m: IntMatrix) -> Fraction:
 def random_matrix(rng, max_dim=12, bound=9) -> IntMatrix:
     rows = rng.randrange(1, max_dim + 1)
     cols = rng.randrange(1, max_dim + 1)
-    return IntMatrix.from_rows(
+    return matrix(
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
     )
 
@@ -61,7 +62,7 @@ def random_matrix(rng, max_dim=12, bound=9) -> IntMatrix:
 def dense_matrix(seed) -> IntMatrix:
     rng = random.Random(seed)
     rows, cols = rng.randrange(6, 13), rng.randrange(6, 13)
-    return IntMatrix.from_rows(
+    return matrix(
         [[rng.randint(-50, 50) for _ in range(cols)] for _ in range(rows)]
     )
 
@@ -91,15 +92,17 @@ def test_snf_transforms_are_bit_identical(make, expected):
     assert hashlib.sha256(got).hexdigest() == expected
 
 
-def _bump(m: IntMatrix, i: int, j: int) -> IntMatrix:
+def _bump(m, i: int, j: int) -> DenseMatrix:
+    """m, a matrix or an operation log, as a dense matrix with entry (i, j)
+    one larger."""
     rows = [list(row) for row in m.data]
     rows[i][j] += 1
-    return IntMatrix.from_rows(rows)
+    return DenseMatrix(tuple(map(tuple, rows)))
 
 
 # Nonsingular, so U·A and A·V have no zero row or column: changing any one
 # entry of U, V or D must change one side of U·A·V == D.
-CHECKED = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+CHECKED = matrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
 POSITIONS = [(i, j) for i in range(3) for j in range(3)]
 
 
@@ -126,11 +129,11 @@ def test_check_rejects_an_off_diagonal_entry_of_d(i, j):
 def test_check_keeps_the_chain_and_sign_conditions():
     # Both decompositions satisfy U·A·V == D exactly; only the shape of D
     # is wrong.
-    a = IntMatrix.from_rows([[2, 0], [0, 3]])
+    a = matrix([[2, 0], [0, 3]])
     ident = _identity(2)
     with pytest.raises(AssertionError, match="divisibility"):
         _check_decomposition(a, SmithDecomposition(u=ident, d=a, v=ident))
-    neg = IntMatrix.from_rows([[-1, 0], [0, 1]])
+    neg = matrix([[-1, 0], [0, 1]])
     dec = smith_normal_form(a)
     flipped = SmithDecomposition(u=neg.mul(dec.u), d=neg.mul(dec.d), v=dec.v)
     with pytest.raises(AssertionError, match="negative"):
@@ -140,7 +143,7 @@ def test_check_keeps_the_chain_and_sign_conditions():
 def test_kernel_check_rejects_any_corrupted_vector(monkeypatch):
     # Kernel of [1 1 1 1] has three basis vectors (columns 1..3 of V); a
     # wrong last vector must be caught as surely as a wrong first one.
-    a = IntMatrix.from_rows([[1, 1, 1, 1]])
+    a = matrix([[1, 1, 1, 1]])
     good = smith_normal_form(a)
     assert len(integer_kernel_basis(a)) == 3
     for col in (1, 2, 3):
@@ -174,11 +177,11 @@ def test_snf_diagonal_matches_sympy_on_incidence_matrices():
 
 
 def test_snf_zero_matrix():
-    zeros = IntMatrix.from_rows([[0, 0]] * 3)
+    zeros = matrix([[0, 0]] * 3)
     dec = smith_normal_form(zeros)
     assert dec.d == zeros
-    assert dec.u == _identity(3)
-    assert dec.v == _identity(2)
+    assert dec.u.data == _identity(3).data
+    assert dec.v.data == _identity(2).data
 
 
 def test_snf_identity():
@@ -187,7 +190,7 @@ def test_snf_identity():
 
 
 def test_snf_invariant_factors():
-    a = IntMatrix.from_rows([[2, 0], [0, 3]])
+    a = matrix([[2, 0], [0, 3]])
     dec = smith_normal_form(a)
     assert dec.diagonal == (1, 6)
     assert dec.u.mul(a).mul(dec.v) == dec.d
@@ -218,7 +221,7 @@ def test_snf_matches_determinantal_divisors():
         g = 0
         for rows in combinations(range(a.rows), k):
             for cols in combinations(range(a.cols), k):
-                sub = IntMatrix.from_rows(
+                sub = matrix(
                     [[a.data[i][j] for j in cols] for i in rows]
                 )
                 g = gcd(g, int(det(sub)))
@@ -235,7 +238,7 @@ def test_snf_matches_determinantal_divisors():
 
 
 def test_kernel_basis_examples():
-    basis = integer_kernel_basis(IntMatrix.from_rows([[1, 1]]))
+    basis = integer_kernel_basis(matrix([[1, 1]]))
     assert len(basis) == 1
     assert basis[0] in ((1, -1), (-1, 1))
     assert integer_kernel_basis(_identity(3)) == []
@@ -254,7 +257,7 @@ def test_kernel_basis_against_bounded_enumeration():
             assert reduce(gcd, vec) == 1
             assert next(x for x in vec if x) > 0
         for vec in product(range(-3, 4), repeat=a.cols):
-            if a.mulvec(vec) != (0,) * a.rows:
+            if DenseMatrix(a.data).mulvec(vec) != (0,) * a.rows:
                 continue
             assert _in_lattice(vec, basis), (a, vec, basis)
 
@@ -303,19 +306,19 @@ def _in_lattice(vec, basis) -> bool:
 
 
 def test_mod2_single_equation():
-    out = solve_mod2_over_rationals(IntMatrix.from_rows([[1, 1, 1]]), [1])
+    out = solve_mod2_over_rationals(matrix([[1, 1, 1]]), [1])
     assert out is not None
 
 
 def test_mod2_contradictory_rows():
-    out = solve_mod2_over_rationals(IntMatrix.from_rows([[1, 0], [1, 0]]), [0, 1])
+    out = solve_mod2_over_rationals(matrix([[1, 0], [1, 0]]), [0, 1])
     assert out is None
 
 
 def test_mod2_needs_half_integers():
     # Incidence of {(1,1,1|1),(1,2,2|0),(2,1,2|0),(2,2,1|0)}: solvable over
     # the rationals with denominator 2, unsolvable over GF(2) alone.
-    b = IntMatrix.from_rows(
+    b = matrix(
         [
             [1, 0, 1, 0, 1, 0],
             [1, 0, 0, 1, 0, 1],
@@ -357,11 +360,11 @@ def test_mod2_alternative_exclusivity():
 
 def test_mod2_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve_mod2_over_rationals(IntMatrix.from_rows([[1, 1]]), [1, 0])
+        solve_mod2_over_rationals(matrix([[1, 1]]), [1, 0])
 
 
-def naive_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return IntMatrix(
+def naive_product(a: IntMatrix, b: IntMatrix) -> DenseMatrix:
+    return DenseMatrix(
         tuple(
             tuple(sum(a.data[i][k] * b.data[k][j] for k in range(a.cols)) for j in range(b.cols))
             for i in range(a.rows)
@@ -370,7 +373,7 @@ def naive_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def sparse_random(rng, rows, cols, zero_frac, bits):
-    return IntMatrix.from_rows(
+    return matrix(
         [
             [0 if rng.random() < zero_frac else rng.choice((-1, 1)) * rng.getrandbits(bits)
              for _ in range(cols)]
@@ -395,7 +398,7 @@ def test_mul_with_zero_rows_columns_and_empty_shapes():
     b = sparse_random(rng, 4, 6, 0.3, 40)
     zero_row = IntMatrix(a.data[:2] + ((0,) * 4,) + a.data[3:])
     zero_col = IntMatrix(tuple(row[:2] + (0,) + row[3:] for row in b.data))
-    for x, y in ((zero_row, b), (a, zero_col), (IntMatrix.from_rows([[0] * 4] * 5), b)):
+    for x, y in ((zero_row, b), (a, zero_col), (matrix([[0] * 4] * 5), b)):
         assert x.mul(y) == naive_product(x, y)
     n_by_0 = IntMatrix(((),) * 3)
     assert n_by_0.mul(IntMatrix(())) == IntMatrix(((),) * 3)
@@ -445,7 +448,7 @@ def planted_incidence(rng, players, alphabet, num_clauses):
                 row[a * alphabet + q] = 1
             rows.append(row)
             parities.append(total.numerator % 2)
-    return IntMatrix.from_rows(rows), parities
+    return matrix(rows), parities
 
 
 def test_mod2_solution_matches_dense_reduction(monkeypatch):
@@ -481,7 +484,7 @@ def _elementary(op, n: int) -> IntMatrix:
     else:
         assert kind == "flip"
         rows[t][t] = -1
-    return IntMatrix.from_rows(rows)
+    return matrix(rows)
 
 
 def _log_shapes():
@@ -490,7 +493,7 @@ def _log_shapes():
     shapes with no rows or no columns."""
     rng = random.Random(97)
     cases = [random_matrix(rng, max_dim=8, bound=rng.choice((2, 9, 40))) for _ in range(200)]
-    cases += [IntMatrix.from_rows([[2, 0], [0, 3]]), IntMatrix.from_rows([[0, 0]] * 3)]
+    cases += [matrix([[2, 0], [0, 3]]), matrix([[0, 0]] * 3)]
     cases += [IntMatrix(()), IntMatrix(((),) * 3)]
     return rng, cases
 
@@ -506,7 +509,7 @@ def test_row_operations_match_the_dense_transform():
         dense = _identity(a.rows)
         for op in u.log:
             dense = naive_product(_elementary(op, a.rows), dense)
-        assert u.data == dense.data and u == dense and dense == u
+        assert u.data == dense.data
         assert (u.rows, u.cols) == (a.rows, a.rows)
         for cols in (0, 1, rng.randrange(2, 7)):
             b = sparse_random(rng, a.rows, cols, 0.4, 70) if a.rows else IntMatrix(())
@@ -519,13 +522,13 @@ def test_row_operations_match_the_dense_transform():
 def test_row_operations_reject_mismatched_shapes():
     u = smith_normal_form(CHECKED).u
     with pytest.raises(ValueError, match="dimension mismatch"):
-        u.mul(IntMatrix.from_rows([[1, 2]] * 2))
+        u.mul(matrix([[1, 2]] * 2))
     with pytest.raises(ValueError, match="dimension mismatch"):
         u.mulvec((1, 2))
 
 
 # Nonsingular, and its elimination logs every kind of row operation.
-EVERY_KIND = IntMatrix.from_rows([[-2, -4, -4], [-1, -1, -2], [-2, 0, 1]])
+EVERY_KIND = matrix([[-2, -4, -4], [-1, -1, -2], [-2, 0, 1]])
 
 
 def _corrupted_logs(log):
@@ -561,12 +564,7 @@ def _column_elementary(op, n: int) -> IntMatrix:
         assert kind == "sub"
         for j, q in arg:
             rows[t][j] = -q
-    return IntMatrix.from_rows(rows)
-
-
-def _dense_columns(m: IntMatrix, js):
-    """Columns js of m as {row: entry} dicts of their nonzero entries."""
-    return [{i: row[j] for i, row in enumerate(m.data) if row[j]} for j in js]
+    return matrix(rows)
 
 
 def test_column_operations_match_the_dense_transform():
@@ -583,7 +581,7 @@ def test_column_operations_match_the_dense_transform():
         dense = _identity(a.cols)
         for op in v.log:
             dense = naive_product(dense, _column_elementary(op, a.cols))
-        assert v.data == dense.data and v == dense and dense == v
+        assert v.data == dense.data
         assert (v.rows, v.cols) == (a.cols, a.cols)
         # a·V, and sᵀ·V for a 0/1 row s.
         parity = IntMatrix((tuple(rng.randrange(2) for _ in range(a.cols)),))
@@ -595,7 +593,7 @@ def test_column_operations_match_the_dense_transform():
         assert v.mulvec(vec) == dense.mulvec(vec)
         shuffled = rng.sample(range(a.cols), rng.randrange(a.cols + 1))
         for js in (range(a.cols), shuffled, shuffled[::-1], []):
-            assert list(v.columns(js)) == _dense_columns(dense, js)
+            assert list(v.columns(js)) == list(dense.columns(js))
     assert kinds == {"swap", "sub"}
 
 
@@ -618,7 +616,7 @@ def test_kernel_columns_are_read_one_at_a_time():
 def test_column_operations_reject_mismatched_shapes():
     v = smith_normal_form(CHECKED).v
     with pytest.raises(ValueError, match="dimension mismatch"):
-        IntMatrix.from_rows([[1, 2]] * 2).mul(v)
+        matrix([[1, 2]] * 2).mul(v)
     with pytest.raises(ValueError, match="dimension mismatch"):
         v.mulvec((1, 2))
 
@@ -690,7 +688,7 @@ def test_integer_congruence_matches_fractions():
 def test_solver_check_rejects_a_wrong_phase_vector(monkeypatch):
     # The final b·phi = s (mod 2) check is the integer one: a phase vector
     # off by 1/3 in one coordinate must fail it.
-    b = IntMatrix.from_rows([[1, 0, 1, 0, 1, 0], [1, 0, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1], [0, 1, 0, 1, 1, 0]])
+    b = matrix([[1, 0, 1, 0, 1, 0], [1, 0, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1], [0, 1, 0, 1, 1, 0]])
     good = solve_mod2_over_rationals(b, [1, 0, 0, 0])
     shifted = (good[0] + Fraction(1, 3),) + good[1:]
     monkeypatch.setattr(intlinalg, "_zero_free_directions", lambda phi, kernel: shifted)

@@ -17,7 +17,7 @@ from xorgames.refutation import (
 )
 from xorgames.words import GroupWord, is_parity_trivial, multiply, reduce_clause_word, reduce_letters
 
-from helpers import commutator_entry_letters
+from helpers import commutator_entry_letters, identity_word
 
 PAIR = parse_text("1 1 1 0\n1 1 1 1")
 GHZ = parse_text("1 1 1 0\n1 2 2 1\n2 1 2 1\n2 2 1 1")
@@ -121,7 +121,7 @@ def test_pair_right_inverse_a1():
 def test_pair_right_inverse_kills_squares():
     hom = Homomorphisms(GHZ)
     word = hom.phi_pair(2, 0, (1, 1))
-    assert reduce_clause_word(GHZ, word) == GroupWord.identity(3)
+    assert reduce_clause_word(GHZ, word) == identity_word(3)
 
 
 def test_pair_right_inverse_a2():
@@ -229,7 +229,7 @@ def test_gadget_map_kills_squares():
         q = rng.choice(asked)
         for beta in (0, 1):
             word = hom.f_map(beta, (q, q))
-            assert reduce_clause_word(game, word) == GroupWord.identity(3)
+            assert reduce_clause_word(game, word) == identity_word(3)
 
 
 def test_gadget_map_b1():
@@ -402,7 +402,7 @@ def test_refutation_builds_the_hypergraph_once(monkeypatch):
 def test_decompose_tiny_commutator():
     letters = (0, 1, 2, 0, 1, 2)  # [x0 x1, x2 x1]
     entries = decompose_pair_commutators(letters, budget=DEFAULT_CAP)
-    prod = GroupWord.identity(1)
+    prod = identity_word(1)
     for e in entries:
         prod = multiply(prod, GroupWord((commutator_entry_letters(e),)))
     assert prod == GroupWord((tuple(letters),))
@@ -426,7 +426,7 @@ def test_decompose_remultiplies_exactly():
         assert is_parity_trivial(letters)
         lengths.add(len(letters))
         entries = decompose_pair_commutators(letters, budget=DEFAULT_CAP)
-        prod = GroupWord.identity(1)
+        prod = identity_word(1)
         for e in entries:
             assert len(e.conj) % 2 == 0
             # No entry for a swap whose middle letter equals either end:
