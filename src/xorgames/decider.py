@@ -94,7 +94,7 @@ def decide(game: Game) -> DecisionOutcome:
     odd = odd_kernel_basis(incidence_matrix(game).transpose(), parities)
     if not odd:
         return DecisionOutcome(member=False)
-    _, vec = min(odd, key=lambda pv: (sum(map(abs, pv[1])), len(pv[1]) - pv[1].count(0), pv[0]))
+    vec = min(odd, key=lambda v: (sum(map(abs, v)), len(v) - v.count(0)))
     return DecisionOutcome(member=True, obstruction_z=vec)
 
 

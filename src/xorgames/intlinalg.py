@@ -27,7 +27,9 @@ pivot share a single pass over the rows, row operations touch only the
 nonzero entries of the pivot row, neither transform is formed as a matrix,
 and products multiply only pairs of nonzero entries, skipping the zeros of
 both operands (the 0/1 incidence matrices this package decomposes are
-sparse, and so is A·V).
+sparse, and so is A·V). Each operation is written once: the elimination
+applies it through the function that the forward replays of U and V run,
+and V·x and the kernel columns share one backward replay of V.
 """
 
 from __future__ import annotations
@@ -82,11 +84,48 @@ class IntMatrix:
         return IntMatrix(tuple(out))
 
 
+def _swap_rows(rows, t, i):
+    rows[t], rows[i] = rows[i], rows[t]
+
+
+def _sub_rows(rows, t, pairs):
+    """R_i -= q·R_t for each (i, q), touching only the nonzero entries of R_t."""
+    nonzeros = [(k, x) for k, x in enumerate(rows[t]) if x]
+    for i, q in pairs:
+        ri = rows[i]
+        for k, y in nonzeros:
+            ri[k] -= q * y
+
+
+def _fold_row(rows, t, f):
+    rows[t] = [x + y for x, y in zip(rows[t], rows[f])]
+
+
+def _flip_row(rows, t, _):
+    rows[t] = [-x for x in rows[t]]
+
+
+def _swap_columns(rows, t, j):
+    for r in rows:
+        r[t], r[j] = r[j], r[t]
+
+
+def _sub_columns(rows, t, pairs):
+    """C_j -= q·C_t for each (j, q), all in one pass over the rows; a row
+    that is zero in column t is left alone."""
+    for r in rows:
+        x = r[t]
+        if x:
+            for j, q in pairs:
+                r[j] -= q * x
+
+
 class _OperationLog:
     """A square matrix kept as the log of the elementary operations that
     turn the identity into it, in the order they were applied. Multiplying
     by it replays the log on the other operand, which never forms the matrix
-    itself."""
+    itself. `_apply` maps each kind of operation to the one function that
+    applies it to a list of rows in place."""
 
     __slots__ = ("rows", "log", "_data")
 
@@ -99,8 +138,23 @@ class _OperationLog:
     def cols(self) -> int:
         return self.rows
 
+    def _record(self, rows: list[list[int]], kind: str, t: int, arg):
+        """Append one operation to the log and apply it to the rows."""
+        self.log.append((kind, t, arg))
+        self._apply[kind](rows, t, arg)
+
     def _replay(self, rows: list[list[int]]) -> list[list[int]]:
-        raise NotImplementedError
+        """Apply the log to the rows in place and return them."""
+        for kind, t, arg in self.log:
+            self._apply[kind](rows, t, arg)
+        return rows
+
+    def _replayed_on(self, other: IntMatrix, size: int) -> IntMatrix:
+        """The log replayed on a copy of other's rows; size is the dimension
+        of other that this matrix meets."""
+        if size != self.rows:
+            raise ValueError("dimension mismatch")
+        return IntMatrix(tuple(map(tuple, self._replay([list(row) for row in other.data]))))
 
     @property
     def data(self) -> tuple[tuple[int, ...], ...]:
@@ -119,32 +173,15 @@ class RowOperations(_OperationLog):
     ("fold", t, f)              R_t += R_f
     ("flip", t, None)           R_t = -R_t
 
-    U·X and U·x replay the log forward on the rows of X and on x.
+    The elimination applies each kind through the one function that U·X
+    and U·x run again, forward, on the rows of X and on x.
     """
 
     __slots__ = ()
-
-    def _replay(self, rows: list[list[int]]) -> list[list[int]]:
-        """Apply the log to the rows in place and return them."""
-        for kind, t, arg in self.log:
-            if kind == "sub":
-                nonzeros = _nonzeros(rows[t])
-                for i, q in arg:
-                    ri = rows[i]
-                    for k, y in nonzeros:
-                        ri[k] -= q * y
-            elif kind == "swap":
-                rows[t], rows[arg] = rows[arg], rows[t]
-            elif kind == "fold":
-                rows[t] = [x + y for x, y in zip(rows[t], rows[arg])]
-            else:
-                rows[t] = [-x for x in rows[t]]
-        return rows
+    _apply = {"swap": _swap_rows, "sub": _sub_rows, "fold": _fold_row, "flip": _flip_row}
 
     def mul(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        return IntMatrix(tuple(map(tuple, self._replay([list(row) for row in other.data]))))
+        return self._replayed_on(other, other.rows)
 
     def mulvec(self, v):
         if len(v) != self.cols:
@@ -159,60 +196,26 @@ class ColumnOperations(_OperationLog):
     ("sub", t, [(j, q), ...])   C_j -= q·C_t for each pair (j > t)
 
     V is the identity times one elementary matrix per operation, so X·V
-    replays the log forward on the columns of X, and V·x replays it backward
-    on the entries of x. `IntMatrix.mul` hands a ColumnOperations operand
-    to `premul`.
+    replays the log forward on the columns of X, through the functions the
+    elimination applied, and V·x and V's columns replay it backward, both
+    through `_replay_backward`. `IntMatrix.mul` hands a ColumnOperations
+    operand to `premul`.
     """
 
     __slots__ = ()
-
-    def _replay(self, rows: list[list[int]]) -> list[list[int]]:
-        """Apply the log to the columns of the rows in place and return them."""
-        for kind, t, arg in self.log:
-            if kind == "sub":
-                for r in rows:
-                    x = r[t]
-                    if x:
-                        for j, q in arg:
-                            r[j] -= q * x
-            else:
-                for r in rows:
-                    r[t], r[arg] = r[arg], r[t]
-        return rows
+    _apply = {"swap": _swap_columns, "sub": _sub_columns}
 
     def premul(self, other: IntMatrix) -> IntMatrix:
         """other·V."""
-        if other.cols != self.rows:
-            raise ValueError("dimension mismatch")
-        return IntMatrix(tuple(map(tuple, self._replay([list(row) for row in other.data]))))
+        return self._replayed_on(other, other.cols)
 
-    def mulvec(self, v):
-        """V·v: entry t takes −q·v_j for each C_j −= q·C_t, last operation
-        first."""
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        x = list(v)
-        for kind, t, arg in reversed(self.log):
-            if kind == "sub":
-                x[t] -= sum([q * x[j] for j, q in arg if x[j]])
-            else:
-                x[t], x[arg] = x[arg], x[t]
-        return tuple(x)
-
-    def columns(self, js) -> Iterator[dict[int, int]]:
-        """Columns js of V, in the order given and one at a time, each as the
-        {row: entry} dict of its nonzero entries: V times the unit vectors
-        e_j, replayed backward on the rows of that block only. A row of the
-        block is None while it is zero, the index c while it is the block's
-        c-th unit vector, and a list once it is anything else, so an
-        operation whose source row is a unit changes one entry, not a whole
-        row. Zero and unit rows are never built: a column is read off the
-        list rows, plus a 1 where its unit row is."""
-        js = list(js)
-        width = len(js)
-        rows: list = [None] * self.rows
-        for c, j in enumerate(js):
-            rows[j] = c
+    def _replay_backward(self, rows: list, width: int) -> list:
+        """V times a block of `width` columns: the log replayed backward on
+        the block's rows, in place, each C_j −= q·C_t becoming
+        R_t −= q·R_j. A row of the block is None while it is zero, the index
+        c while it is the block's c-th unit vector, and a list once it is
+        anything else, so an operation whose source row is a unit changes
+        one entry, not a whole row."""
         for kind, t, arg in reversed(self.log):
             if kind == "swap":
                 rows[t], rows[arg] = rows[arg], rows[t]
@@ -235,6 +238,26 @@ class ColumnOperations(_OperationLog):
             if sources:
                 target = [x - sum(map(operator.mul, qs, ys)) for x, ys in zip(target, zip(*sources))]
             rows[t] = target
+        return rows
+
+    def mulvec(self, v):
+        """V·v: v as a one-column block, each nonzero entry a list row."""
+        if len(v) != self.cols:
+            raise ValueError("dimension mismatch")
+        rows = self._replay_backward([[x] if x else None for x in v], 1)
+        return tuple(row[0] if row else 0 for row in rows)
+
+    def columns(self, js) -> Iterator[dict[int, int]]:
+        """Columns js of V, in the order given and one at a time, each as the
+        {row: entry} dict of its nonzero entries: V times the block of unit
+        vectors e_j. Zero and unit rows are never built: a column is read
+        off the list rows, plus a 1 where its unit row is."""
+        js = list(js)
+        width = len(js)
+        rows: list = [None] * self.rows
+        for c, j in enumerate(js):
+            rows[j] = c
+        self._replay_backward(rows, width)
         # Each unit vector sits in one row at most: a swap moves it and an
         # operation on its row turns that row into a list.
         unit_row = {c: t for t, c in enumerate(rows) if type(c) is int}
@@ -294,16 +317,12 @@ def _find_pivot(m, t, rows, cols):
 
 
 def _unit_row(c, width: int) -> list[int]:
-    """A row of `ColumnOperations.columns`' block as a list: zero when c is
-    None, else the c-th unit vector."""
+    """A row of a block that `ColumnOperations._replay_backward` replays on,
+    as a list: zero when c is None, else the c-th unit vector."""
     row = [0] * width
     if c is not None:
         row[c] = 1
     return row
-
-
-def _nonzeros(row):
-    return [(k, x) for k, x in enumerate(row) if x]
 
 
 def _identity_rows(n: int) -> list[list[int]]:
@@ -315,11 +334,24 @@ def _identity_rows(n: int) -> list[list[int]]:
     return rows
 
 
+def _quotients(entries, p):
+    """In one pass over (index, entry) pairs: the (index, entry // p) pairs
+    of the nonzero quotients, and whether any entry leaves a remainder."""
+    ops, dirty = [], False
+    for k, x in entries:
+        if x:
+            q, rem = divmod(x, p)
+            if q:
+                ops.append((k, q))
+            dirty = dirty or rem != 0
+    return ops, dirty
+
+
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     rows, cols = a.rows, a.cols
     m = [list(row) for row in a.data]
-    log = []  # the row operations, which make up U
-    vlog = []  # the column operations, which make up V
+    u = RowOperations(rows, [])
+    v = ColumnOperations(cols, [])
 
     for t in range(min(rows, cols)):
         pivot = _find_pivot(m, t, rows, cols)
@@ -328,49 +360,20 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         while True:
             i, j = pivot
             if i != t:
-                m[t], m[i] = m[i], m[t]
-                log.append(("swap", t, i))
+                u._record(m, "swap", t, i)
             if j != t:
-                for r in m:
-                    r[t], r[j] = r[j], r[t]
-                vlog.append(("swap", t, j))
-            mt = m[t]
-            p = mt[t]
-            dirty = False
-            # R_i -= q * R_t for every row below, touching only the nonzero
-            # entries of the pivot row.
-            mt_nz = _nonzeros(mt)
-            subs = []
-            for i in range(t + 1, rows):
-                mi = m[i]
-                if mi[t]:
-                    q = mi[t] // p
-                    if q:
-                        for k, y in mt_nz:
-                            mi[k] -= q * y
-                        subs.append((i, q))
-                    dirty = dirty or mi[t] != 0
+                v._record(m, "swap", t, j)
+            p = m[t][t]
+            # R_i -= q * R_t for every row below the pivot, then C_j -= q * C_t
+            # for every column right of it. Neither changes row t, so every
+            # quotient comes from the pivot row and column as they are now.
+            subs, row_rest = _quotients(((i, m[i][t]) for i in range(t + 1, rows)), p)
             if subs:
-                log.append(("sub", t, subs))
-            # C_j -= q * C_t for every column right of the pivot, logged for
-            # V. These operations never change column t, so every quotient
-            # comes from the pivot row as it is now and all of them can be
-            # applied in one pass over the rows.
-            ops = []
-            for j in range(t + 1, cols):
-                if mt[j]:
-                    q, rem = divmod(mt[j], p)
-                    if q:
-                        ops.append((j, q))
-                    dirty = dirty or rem != 0
+                u._record(m, "sub", t, subs)
+            ops, col_rest = _quotients(enumerate(m[t][t + 1:], t + 1), p)
             if ops:
-                vlog.append(("sub", t, ops))
-                for r in m:
-                    x = r[t]
-                    if x:
-                        for j, q in ops:
-                            r[j] -= q * x
-            if not dirty:
+                v._record(m, "sub", t, ops)
+            if not (row_rest or col_rest):
                 if p == 1 or p == -1:
                     break  # a unit divides the rest of the submatrix
                 # Pivot must divide the rest of the submatrix for the chain.
@@ -385,20 +388,14 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 if fixup is None:
                     break
                 # Fold the offending row into row t, then reduce again.
-                m[t] = [x + y for x, y in zip(m[t], m[fixup])]
-                log.append(("fold", t, fixup))
+                u._record(m, "fold", t, fixup)
             pivot = _find_pivot(m, t, rows, cols)
 
     for t in range(min(rows, cols)):
         if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-            log.append(("flip", t, None))
+            u._record(m, "flip", t, None)
 
-    dec = SmithDecomposition(
-        u=RowOperations(rows, log),
-        d=IntMatrix(tuple(map(tuple, m))),
-        v=ColumnOperations(cols, vlog),
-    )
+    dec = SmithDecomposition(u=u, d=IntMatrix(tuple(map(tuple, m))), v=v)
     _check_decomposition(a, dec)
     return dec
 
@@ -449,19 +446,18 @@ def _kernel_vectors(a: IntMatrix, dec: SmithDecomposition, positions) -> list[tu
     return basis
 
 
-def odd_kernel_basis(a: IntMatrix, s) -> list[tuple[int, tuple[int, ...]]]:
+def odd_kernel_basis(a: IntMatrix, s) -> list[tuple[int, ...]]:
     """The basis vectors of the lattice { z : a·z = 0 } that pair oddly
-    with s, as (position in that basis, vector) pairs. The basis is one
-    vector per free column, columns rank, rank + 1, ... of V. The parities
-    of all basis vectors come from the one row sᵀ·V, so only the odd
-    columns of V are built."""
+    with s, in basis order. The basis is one vector per free column,
+    columns rank, rank + 1, ... of V. The parities of all basis vectors
+    come from the one row sᵀ·V, so only the odd columns of V are built."""
     dec = smith_normal_form(a)
     parities = IntMatrix((tuple(s),)).mul(dec.v).data[0][dec.rank:]
     positions = [p for p, x in enumerate(parities) if x % 2]
     basis = _kernel_vectors(a, dec, positions)
     if any(sum(map(operator.mul, vec, s)) % 2 == 0 for vec in basis):
         raise AssertionError("odd kernel vector pairs evenly with s")
-    return list(zip(positions, basis))
+    return basis
 
 
 def _zero_free_directions(phi, kernel):

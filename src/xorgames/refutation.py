@@ -49,6 +49,13 @@ class WordLengthCapExceeded(RuntimeError):
         self.cap = cap
 
 
+def _check_cap(stage: str, length: int, cap: int):
+    """Every cap test of the pipeline: abort the stage once its clause-word
+    length exceeds the cap."""
+    if length > cap:
+        raise WordLengthCapExceeded(stage, length, cap)
+
+
 @dataclass(frozen=True)
 class RefutationCertificate:
     """z: the abelian witness; sigma_word: clause indices whose product is
@@ -122,8 +129,7 @@ def decompose_pair_commutators(letters, budget: int) -> list[CommutatorEntry]:
                 pair2=(c, b),
             )
             spent += 2 * len(entry.conj) + 8
-            if spent > budget:
-                raise WordLengthCapExceeded("commutator decomposition", spent, budget)
+            _check_cap("commutator decomposition", spent, budget)
             if even_prefix:
                 left.append(entry)
             else:
@@ -227,9 +233,7 @@ class Homomorphisms:
         red = multiply(red, reduce_clause_word(self.game, clear1))
         letters = red.per_player[1][::-1]
         paths = self.paths[(1, 0)]
-        length = len(w) + len(clear1) + sum(len(paths[q]) for q in letters)
-        if length > cap:
-            raise WordLengthCapExceeded("preprocess", length, cap)
+        _check_cap("preprocess", len(w) + len(clear1) + sum(len(paths[q]) for q in letters), cap)
         clear2 = self.phi_pair(1, 0, letters)
         red = multiply(red, reduce_clause_word(self.game, clear2))
         w += clear1 + clear2
@@ -247,15 +251,12 @@ def construct_sigma_word(
     hom = Homomorphisms(game)
 
     def guard(stage: str, cw):
-        if len(cw) > cap:
-            raise WordLengthCapExceeded(stage, len(cw), cap)
+        _check_cap(stage, len(cw), cap)
         return cw
 
     # The witness word holds 2|z_i| clauses for each i >= 2: its length is
     # priced before it is built, since z can have entries in the millions.
-    length = 2 * sum(abs(int(x)) for x in z[1:])
-    if length > cap:
-        raise WordLengthCapExceeded("witness word", length, cap)
+    _check_cap("witness word", 2 * sum(abs(int(x)) for x in z[1:]), cap)
     w, red = hom.preprocess(witness_clause_word(game, z), cap)
 
     y1 = red.per_player[2]

@@ -126,6 +126,15 @@ def test_check_rejects_an_off_diagonal_entry_of_d(i, j):
         _check_decomposition(CHECKED, bad)
 
 
+def test_check_rejects_a_d_that_is_not_diagonal():
+    # Identity logs make U·A·V == D hold with D = A, so only the diagonal
+    # check can reject this D.
+    a = matrix([[1, 1], [0, 1]])
+    dec = SmithDecomposition(u=RowOperations(2, []), d=a, v=ColumnOperations(2, []))
+    with pytest.raises(AssertionError, match="D not diagonal"):
+        _check_decomposition(a, dec)
+
+
 def test_check_keeps_the_chain_and_sign_conditions():
     # Both decompositions satisfy U·A·V == D exactly; only the shape of D
     # is wrong.
@@ -589,8 +598,12 @@ def test_column_operations_match_the_dense_transform():
         for rows in (1, rng.randrange(2, 7)):
             x = sparse_random(rng, rows, a.cols, 0.4, 70) if a.cols else IntMatrix(((),) * rows)
             assert x.mul(v) == naive_product(x, dense)
-        vec = tuple(rng.randint(-9, 9) for _ in range(a.cols))
-        assert v.mulvec(vec) == dense.mulvec(vec)
+        # A random vector, the zero vector and every unit vector: V·x
+        # replays x as a one-column block whose zero rows stay None.
+        vecs = [tuple(rng.randint(-9, 9) for _ in range(a.cols)), (0,) * a.cols]
+        vecs += [tuple(int(i == j) for i in range(a.cols)) for j in range(a.cols)]
+        for vec in vecs:
+            assert v.mulvec(vec) == dense.mulvec(vec)
         shuffled = rng.sample(range(a.cols), rng.randrange(a.cols + 1))
         for js in (range(a.cols), shuffled, shuffled[::-1], []):
             assert list(v.columns(js)) == list(dense.columns(js))
@@ -634,10 +647,7 @@ def test_check_rejects_a_corrupted_column_operation_log():
 
 def _odd_by_filtering(a: IntMatrix, s):
     """Reference: the whole kernel basis, kept where it pairs oddly with s."""
-    return [
-        (pos, vec) for pos, vec in enumerate(integer_kernel_basis(a))
-        if sum(z * x for z, x in zip(vec, s)) % 2
-    ]
+    return [vec for vec in integer_kernel_basis(a) if sum(z * x for z, x in zip(vec, s)) % 2]
 
 
 def test_odd_kernel_basis_matches_filtering_the_whole_basis():
