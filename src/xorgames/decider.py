@@ -17,10 +17,11 @@ verdict as inconclusive.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 from .games import Game
-from .intlinalg import IntMatrix, odd_kernel_basis
+from .intlinalg import IntMatrix, l1_descent, parity_kernel_basis
 
 
 @dataclass(frozen=True)
@@ -47,11 +48,30 @@ class DecisionOutcome:
 
     When member is true, obstruction_z balances every (player, question)
     incidence (sum of z over the clauses asking it is zero) and has odd
-    parity against the clause parity bits.
+    parity against the clause parity bits. odd_basis holds the odd kernel
+    basis vectors it was chosen from, and even_basis builds the even ones
+    of the same basis when called; `short_witness` reads both.
     """
 
     member: bool
     obstruction_z: tuple[int, ...] | None = None
+    odd_basis: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
+    even_basis: Callable[[], list[tuple[int, ...]]] | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    def short_witness(self) -> tuple[int, ...]:
+        """obstruction_z shortened in ℓ1: moved by integer steps along each
+        even basis vector and each odd one doubled (`l1_descent`), so it
+        stays in the kernel and stays odd. A refutation word grows much
+        faster than ‖z‖₁. No witness has ‖z‖₁ below 2, since a lone ±1
+        leaves its clause's questions unbalanced, so such a z is returned
+        as it is and the even vectors are never built."""
+        z = self.obstruction_z
+        if sum(map(abs, z)) == 2:
+            return z
+        doubled = [tuple(map((2).__mul__, vec)) for vec in self.odd_basis]
+        return l1_descent(z, self.even_basis() + doubled)
 
 
 def abelianize_clause_word(game: Game, cw: tuple[int, ...]) -> AbelianVector:
@@ -88,14 +108,15 @@ def decide(game: Game) -> DecisionOutcome:
     Among the odd basis vectors the one with smallest entry sum (then
     fewest nonzeros, then basis order) is returned: witness words expand
     each unit of the vector into a clause pair, so this keeps certificates
-    short while staying deterministic. Only the odd vectors are built.
+    short while staying deterministic. Only the odd vectors are built; the
+    even ones are built only if `short_witness` is called.
     """
     parities = tuple(c.parity for c in game.clauses)
-    odd = odd_kernel_basis(incidence_matrix(game).transpose(), parities)
+    odd, even = parity_kernel_basis(incidence_matrix(game).transpose(), parities)
     if not odd:
         return DecisionOutcome(member=False)
     vec = min(odd, key=lambda v: (sum(map(abs, v)), len(v) - v.count(0)))
-    return DecisionOutcome(member=True, obstruction_z=vec)
+    return DecisionOutcome(member=True, obstruction_z=vec, odd_basis=tuple(odd), even_basis=even)
 
 
 def check_obstruction(game: Game, z) -> bool:

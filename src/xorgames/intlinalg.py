@@ -1,8 +1,11 @@
 """Exact integer and rational linear algebra.
 
-The package takes from here `smith_normal_form`; `odd_kernel_basis`, the
-integer kernel vectors that pair oddly with a parity vector (the witnesses
-`decide` chooses from); `solve_mod2_over_rationals`, the canonical rational
+The package takes from here `smith_normal_form`; `parity_kernel_basis`,
+the integer kernel vectors that pair oddly with a parity vector (the
+witnesses `decide` chooses from) and, on request, those that pair evenly;
+`l1_descent`, which shortens a vector in ℓ1 by integer steps along given
+directions (a refutation's witness along the even kernel vectors);
+`solve_mod2_over_rationals`, the canonical rational
 solution of b·φ ≡ s (mod 2) (the phase table); and `congruent_mod2`, the
 exact parity test of a sum of rationals that the solve and `verify` apply.
 
@@ -35,10 +38,11 @@ and V·x and the kernel columns share one backward replay of V.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from functools import partial
+from itertools import compress, cycle, repeat
 from math import lcm
 
 
@@ -446,18 +450,85 @@ def _kernel_vectors(a: IntMatrix, dec: SmithDecomposition, positions) -> list[tu
     return basis
 
 
-def odd_kernel_basis(a: IntMatrix, s) -> list[tuple[int, ...]]:
-    """The basis vectors of the lattice { z : a·z = 0 } that pair oddly
-    with s, in basis order. The basis is one vector per free column,
-    columns rank, rank + 1, ... of V. The parities of all basis vectors
-    come from the one row sᵀ·V, so only the odd columns of V are built."""
+def parity_kernel_basis(
+    a: IntMatrix, s
+) -> tuple[list[tuple[int, ...]], Callable[[], list[tuple[int, ...]]]]:
+    """The basis vectors of the lattice { z : a·z = 0 }, split by how they
+    pair with s. The basis is one vector per free column, columns rank,
+    rank + 1, ... of V, and the parities of all of them come from the one
+    row sᵀ·V. The odd vectors are built at once and returned in basis
+    order, together with a function that builds the even ones, in basis
+    order, from the same decomposition when it is called: only a caller
+    that reads the even vectors pays for them."""
     dec = smith_normal_form(a)
     parities = IntMatrix((tuple(s),)).mul(dec.v).data[0][dec.rank:]
-    positions = [p for p, x in enumerate(parities) if x % 2]
-    basis = _kernel_vectors(a, dec, positions)
-    if any(sum(map(operator.mul, vec, s)) % 2 == 0 for vec in basis):
-        raise AssertionError("odd kernel vector pairs evenly with s")
-    return basis
+    positions: tuple[list[int], list[int]] = ([], [])
+    for p, x in enumerate(parities):
+        positions[x % 2].append(p)
+
+    def basis(parity: int) -> list[tuple[int, ...]]:
+        vectors = _kernel_vectors(a, dec, positions[parity])
+        if any(sum(map(operator.mul, vec, s)) % 2 != parity for vec in vectors):
+            raise AssertionError("kernel vector pairs with s against its parity")
+        return vectors
+
+    return basis(1), partial(basis, 0)
+
+
+def _best_step(xs, ds) -> int:
+    """The integer t that lowers Σ|x + t·d| over the pairs of xs and ds the
+    most, nearest to 0 among equals, or 0 when no step lowers it. The sum
+    is convex and piecewise linear in t, so its forward difference only
+    rises: the best step along the falling side is the first t whose next
+    unit step no longer falls, found by doubling t and then halving the
+    bracket, in O(log |t|) evaluations."""
+
+    def cost(t: int) -> int:
+        return sum(map(abs, map(operator.add, xs, map(operator.mul, ds, repeat(t)))))
+
+    here = sum(map(abs, xs))
+    sign = next((u for u in (1, -1) if cost(u) < here), 0)
+    if not sign:
+        return 0
+
+    def flat_past(t: int) -> bool:
+        return cost(sign * (t + 1)) >= cost(sign * t)
+
+    low, high = 0, 1  # not flat_past(low): the first unit step falls
+    while not flat_past(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if flat_past(mid):
+            high = mid
+        else:
+            low = mid
+    return sign * high
+
+
+def l1_descent(z, directions) -> tuple[int, ...]:
+    """z moved along the directions, by integer steps, until no step along
+    any one of them lowers ‖z‖₁. The directions are taken in turn, cycling
+    in the order given, and each step is the one that lowers ‖z‖₁ the most
+    (`_best_step`); the descent stops once every direction has been tried
+    since the last step. Each step lowers the integer ‖z‖₁, so it ends.
+    Only the entries in a direction's support are read or written, and
+    the result is z plus an integer combination of the directions."""
+    z = list(z)
+    sparse = [(tuple(compress(range(len(d)), d)), tuple(compress(d, d))) for d in directions]
+    since_step = 0
+    for idx, ds in cycle(sparse):
+        if since_step == len(sparse):
+            break
+        xs = list(map(z.__getitem__, idx))
+        t = _best_step(xs, ds)
+        if t:
+            for i, x, d in zip(idx, xs, ds):
+                z[i] = x + t * d
+            since_step = 1  # this direction has just been tried
+        else:
+            since_step += 1
+    return tuple(z)
 
 
 def _zero_free_directions(phi, kernel):

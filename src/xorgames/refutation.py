@@ -12,7 +12,9 @@ the two pair right inverses, with gadget words inserted so that the two
 assemblies agree on every player. Every stage is an exact group identity,
 checked before proceeding: a failed check is a bug and raises
 AssertionError, while a word outgrowing the cap is a construction limit and
-raises WordLengthCapExceeded. Clause words are carried as index sequences
+raises WordLengthCapExceeded. The witness word, preprocess's clearing
+word, each gadget-stage piece and each assembly entry are priced against
+the cap before they are built. Clause words are carried as index sequences
 throughout so membership in the clause subgroup is manifest. Each letter of
 the assembled word is reduced once: a stage reduces only the piece it
 appends and multiplies that normal form onto the one it carries. The
@@ -140,6 +142,11 @@ def decompose_pair_commutators(letters, budget: int) -> list[CommutatorEntry]:
     return left + right
 
 
+def _priced(images, letters) -> int:
+    """The length of `_alternate(images, letters)`, without building it."""
+    return sum(map(len, map(images.__getitem__, letters)))
+
+
 def _alternate(images, letters) -> tuple[int, ...]:
     """Extend a letter table to even words the way every right inverse here
     does: the pair x.y maps to images[x] . images[y]^-1, and clause words
@@ -232,8 +239,7 @@ class Homomorphisms:
         clear1 = self.phi_simple(0, red.per_player[0][::-1])
         red = multiply(red, reduce_clause_word(self.game, clear1))
         letters = red.per_player[1][::-1]
-        paths = self.paths[(1, 0)]
-        _check_cap("preprocess", len(w) + len(clear1) + sum(len(paths[q]) for q in letters), cap)
+        _check_cap("preprocess", len(w) + len(clear1) + _priced(self.paths[(1, 0)], letters), cap)
         clear2 = self.phi_pair(1, 0, letters)
         red = multiply(red, reduce_clause_word(self.game, clear2))
         w += clear1 + clear2
@@ -249,10 +255,6 @@ def construct_sigma_word(
 ) -> RefutationCertificate:
     """Run the full pipeline on a connected 3-player game with witness z."""
     hom = Homomorphisms(game)
-
-    def guard(stage: str, cw):
-        _check_cap(stage, len(cw), cap)
-        return cw
 
     # The witness word holds 2|z_i| clauses for each i >= 2: its length is
     # priced before it is built, since z can have entries in the millions.
@@ -270,8 +272,11 @@ def construct_sigma_word(
         y = red.per_player[2]
         if beta and not is_parity_trivial(y):  # y1 was checked above
             raise AssertionError("player-3 residue escaped the commutator subgroup")
+        # Priced before it is built: a tree path and a gadget-map word per letter.
+        size = _priced(hom.paths[(2, beta)], y) + _priced(hom.gadget[beta], y)
+        _check_cap(stage, len(w) + size, cap)
         piece = hom.phi_pair(2, beta, y)[::-1] + hom.f_map(beta, y)
-        w = guard(stage, w + piece)
+        w += piece
         red = multiply(red, reduce_clause_word(game, piece))
         if red.per_player[0] or red.per_player[1]:
             raise AssertionError(f"players 1, 2 reappeared after the {stage}")
@@ -285,10 +290,13 @@ def construct_sigma_word(
         fu = hom.compose_f(entry.conj)
         fp = hom.compose_f(entry.pair1)
         fq = hom.compose_f(entry.pair2)
+        # Priced before it is built: one clause per letter of fu, each way,
+        # and a commutator [a, b] holds a and b twice.
+        size = 2 * len(fu) + 2 * (_priced(hom.paths[(2, 0)], fp) + _priced(hom.paths[(2, 1)], fq))
+        _check_cap("commutator assembly", len(pieces) + size, cap)
         pieces += hom.phi_simple(2, fu)
         pieces += commutator(hom.phi_pair(2, 0, fp), hom.phi_pair(2, 1, fq))
         pieces += hom.phi_simple(2, fu[::-1])
-        guard("commutator assembly", pieces)
 
     red4 = reduce_clause_word(game, pieces)
     if red4.per_player[0] or red4.per_player[1] or red4.sigma:
@@ -298,7 +306,8 @@ def construct_sigma_word(
 
     # final = w . pieces^-1 with adjacent equal clauses cancelled: clauses
     # are involutions, so the cancelled word is the same group element.
-    final = guard("final word", reduce_letters(chain(w, reversed(pieces))))
+    final = reduce_letters(chain(w, reversed(pieces)))
+    _check_cap("final word", len(final), cap)
     del pieces
     if multiply(red, inverse(red4)) != GroupWord.sign(3):
         raise AssertionError("final clause word does not reduce to the sign element")
@@ -306,7 +315,8 @@ def construct_sigma_word(
 
 
 def refute(game: Game, cap: int = DEFAULT_CAP) -> RefutationCertificate:
-    """Locate a refutable component, run the pipeline there, and map the
+    """Locate a refutable component, run the pipeline there on its witness
+    shortened in ℓ1 (`DecisionOutcome.short_witness`), and map the
     certificate back to the original clause indices.
 
     The pipeline checks the certificate exactly on the component. The lift
@@ -319,6 +329,6 @@ def refute(game: Game, cap: int = DEFAULT_CAP) -> RefutationCertificate:
         outcome = decide(comp.game)
         if not outcome.member:
             continue
-        local = construct_sigma_word(comp.game, outcome.obstruction_z, cap=cap)
+        local = construct_sigma_word(comp.game, outcome.short_witness(), cap=cap)
         return RefutationCertificate(*comp.lift(game.num_clauses, local.z, local.sigma_word))
     raise ValueError("game has no parity refutation; nothing to construct")

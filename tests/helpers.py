@@ -7,7 +7,7 @@ Dense references for what the library keeps sparse or as logs:
   can hand `_check_decomposition` and `_kernel_vectors` a transform with a
   changed entry;
 - `integer_kernel_basis`, the whole kernel basis, of which `decide` builds
-  only the odd vectors;
+  only the odd vectors, and `odd_kernel_basis`, those odd vectors alone;
 - `reference_simulate_merp_value`, one observable per table entry.
 
 Besides them: `matrix` (an `IntMatrix` from nested rows), `identity_word`,
@@ -56,6 +56,11 @@ def integer_kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
     looked up when called, so a test can patch it."""
     dec = intlinalg.smith_normal_form(a)
     return intlinalg._kernel_vectors(a, dec, range(a.cols - dec.rank))
+
+
+def odd_kernel_basis(a: IntMatrix, s) -> list[tuple[int, ...]]:
+    """The odd vectors of `parity_kernel_basis`, without the even ones."""
+    return intlinalg.parity_kernel_basis(a, s)[0]
 
 
 def identity_word(players: int) -> GroupWord:

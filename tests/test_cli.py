@@ -588,19 +588,23 @@ def test_certificates_byte_stable(tmp_path, capsys, ghz_file):
 
 # sha256 of the certificate bytes `decide` writes for the 3-player game
 # generate_random_game(3, n, 5n, seed), recorded when the commutator
-# decomposition became nearest-match and the final word freely cancelled;
-# each certificate passed `verify` and `bench/checker.py` when recorded. Any
-# change to the refutation word shows up here.
+# decomposition became nearest-match and the final word freely cancelled,
+# and again for (12, 1), (20, 0), (24, 1) and (24, 3) when `refute` began
+# shortening its witness in ℓ1; each certificate passed `verify` and
+# `bench/checker.py` when recorded. Any change to the refutation word shows
+# up here.
 GOLDEN_REFUTATIONS = {
-    (12, 1): "3da65aa21511ca16e52562a92878c79392fe5840e12adabdb8fcbc2d4107bba5",
+    # The one word the shortened witness lengthens: 164 → 180 clauses.
+    (12, 1): "81c9ecb12f9d0606678a00ca402ab04671f93d556e1e5a20ae4a2a4296f11ee2",
     (12, 3): "f0f9644146aa9234520b3f396bb1a1fd2224b3cbfea9380d103c8977a8139296",
     (16, 1): "1494bdf7553289abbcbf7c0439da31657c498b6a5e98d1cd019e7e238fa2ac49",
     (20, 3): "ec8fe6cfeac1877d888cd5570c2b9c36bdcec31dc1b49cb883b2e0cb86976f19",
-    # The three longest: 11,168, 2,304 and 6,124 clauses (32,151, 6,924
-    # and 17,596 bytes).
-    (20, 0): "0a82b8bf2b38a8b29706f6203906d4c25fe42c493e59b356dad52055d7f11acc",
-    (24, 1): "58802a5d8de1c2f087852bb35c51a7514a7b8478553d4da6b7ac0b9a78de161f",
-    (24, 3): "b94cf48ff2f2a2a29f3fbe58704d0e917d5e0eaf091b54218f4fb3aff8f6a26c",
+    # The three longest words before the witness was shortened: now 3,930,
+    # 664 and 622 clauses (11,400, 2,241 and 2,121 bytes), down from
+    # 11,168, 2,304 and 6,124.
+    (20, 0): "b7f13b3bed56c9926301aa27ffeb29cff09394aba92300df222012cb9137d76b",
+    (24, 1): "d84eacabad42d5ec136ff94b2ab499bd9f321677e047a7db3e64cf549aef334d",
+    (24, 3): "6a02f41a4c3570904f7f272c90fce60bdbba617c868f3428a0e7eb70189971c4",
 }
 
 
@@ -625,7 +629,7 @@ def test_refutation_cap_abort_golden(tmp_path, capsys):
     assert code == 70
     assert err == (
         "error: refutation pipeline failed: commutator decomposition:"
-        " clause word length 1024 exceeds cap 1000\n"
+        " clause word length 1368 exceeds cap 1000\n"
     )
     assert not cert.exists()
 

@@ -1,4 +1,5 @@
 import hashlib
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -16,14 +17,16 @@ from xorgames.intlinalg import (
     IntMatrix,
     RowOperations,
     SmithDecomposition,
+    _best_step,
     _check_decomposition,
     congruent_mod2,
-    odd_kernel_basis,
+    l1_descent,
+    parity_kernel_basis,
     smith_normal_form,
     solve_mod2_over_rationals,
 )
 
-from helpers import DenseMatrix, integer_kernel_basis, matrix
+from helpers import DenseMatrix, integer_kernel_basis, matrix, odd_kernel_basis
 
 
 def _identity(n: int) -> DenseMatrix:
@@ -667,6 +670,76 @@ def test_odd_kernel_basis_matches_filtering_the_whole_basis():
         assert odd_kernel_basis(a, s) == expected, shape
         outcomes.add(bool(expected))
     assert outcomes == {True, False}
+
+
+def test_even_kernel_basis_matches_filtering_the_whole_basis(monkeypatch):
+    # The even vectors are built on request, from the decomposition that
+    # gave the odd ones: no second Smith form.
+    calls = []
+    original = intlinalg.smith_normal_form
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    both = 0
+    for seed in range(6):
+        game = generate_random_game(3, 8, 40, seed)
+        a = incidence_matrix(game).transpose()
+        s = [c.parity for c in game.clauses]
+        calls.clear()
+        monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+        odd, even = parity_kernel_basis(a, s)
+        built = even()
+        monkeypatch.undo()
+        assert len(calls) == 1
+        whole = integer_kernel_basis(a)
+        assert odd == [v for v in whole if sum(map(operator.mul, v, s)) % 2]
+        assert built == [v for v in whole if not sum(map(operator.mul, v, s)) % 2]
+        both += bool(odd and built)
+    assert both >= 3
+
+
+def _is_nearest_best_step(xs, ds, t) -> bool:
+    """Whether t minimises the convex f(t) = Σ|x + t·d| over the integers,
+    nearest to 0 among the minimisers: neither neighbour is lower, and the
+    neighbour towards 0 is higher."""
+    def f(u):
+        return sum(abs(x + u * d) for x, d in zip(xs, ds))
+
+    if f(t - 1) < f(t) or f(t + 1) < f(t):
+        return False
+    return t == 0 or f(t - (1 if t > 0 else -1)) > f(t)
+
+
+def test_best_step_is_the_nearest_integer_minimiser():
+    rng = random.Random(263)
+    steps = set()
+    for _ in range(400):
+        width = rng.randrange(1, 7)
+        scale = rng.choice((5, 40, 10**9))
+        xs = [rng.randint(-scale, scale) for _ in range(width)]
+        ds = [rng.randint(-4, 4) for _ in range(width)]
+        t = _best_step(xs, ds)
+        assert _is_nearest_best_step(xs, ds, t), (xs, ds, t)
+        steps.add((t > 0) - (t < 0))
+    assert steps == {-1, 0, 1}
+
+
+def test_l1_descent_stops_where_no_direction_lowers_the_norm():
+    rng = random.Random(269)
+    for _ in range(200):
+        width = rng.randrange(2, 8)
+        count = rng.randrange(1, 4)
+        directions = [tuple(rng.randint(-2, 2) for _ in range(width)) for _ in range(count)]
+        z = tuple(rng.randint(-30, 30) for _ in range(width))
+        out = l1_descent(z, directions)
+        assert sum(map(abs, out)) <= sum(map(abs, z))
+        for d in directions:
+            assert _best_step(out, d) == 0
+    assert l1_descent((5, 3), [(1, 1)]) == (2, 0)
+    assert l1_descent((7, -4, 1), [(1, 0, 0), (0, 1, 0)]) == (0, 0, 1)
+    assert l1_descent((1, 1), []) == (1, 1)
 
 
 def _fraction_congruent(coeffs, values, target) -> bool:

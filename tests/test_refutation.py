@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -507,23 +508,24 @@ def test_construct_respects_cap():
 
 
 def test_cap_aborts_cleanly_on_large_instances():
-    # A 200-clause instance that certifies under the default cap, with 26,808
+    # A 200-clause instance that certifies under the default cap, with 7,022
     # clauses, aborts under a smaller one: the pipeline fails fast with the
     # diagnostic instead of exhausting memory in the commutator decomposition.
     game = generate_random_game(3, 40, 200, seed=1)
     cert = refute(game)
-    assert len(cert.sigma_word) == 26808
+    assert len(cert.sigma_word) == 7022
     assert reduce_clause_word(game, cert.sigma_word) == GroupWord.sign(3)
     with pytest.raises(WordLengthCapExceeded) as err:
-        refute(game, cap=20000)
-    assert (err.value.stage, err.value.cap) == ("commutator decomposition", 20000)
-    assert err.value.length > 20000
+        refute(game, cap=5000)
+    assert (err.value.stage, err.value.cap) == ("commutator decomposition", 5000)
+    assert err.value.length > 5000
 
 
 def test_witness_word_is_priced_before_it_is_built(monkeypatch):
     # The smallest odd Smith basis vector of this 400-clause game has
-    # entries in the millions: its witness word of 6,480,780 clauses would
-    # take tens of seconds to build and reduce. The cap stops it unbuilt.
+    # entries in the millions, and shortened in ℓ1 it still prices the
+    # witness word at 1,649,810 clauses, which would take seconds to build
+    # and reduce. The cap stops it unbuilt.
     game = generate_random_game(3, 80, 400, seed=0)
 
     def unbuilt(game, z):
@@ -532,7 +534,70 @@ def test_witness_word_is_priced_before_it_is_built(monkeypatch):
     monkeypatch.setattr(refutation, "witness_clause_word", unbuilt)
     with pytest.raises(WordLengthCapExceeded) as err:
         refute(game)
-    assert (err.value.stage, err.value.length, err.value.cap) == ("witness word", 6480780, DEFAULT_CAP)
+    assert (err.value.stage, err.value.length, err.value.cap) == ("witness word", 1649810, DEFAULT_CAP)
+
+
+def test_gadget_and_assembly_pieces_are_priced_before_they_are_built(monkeypatch):
+    # Each gadget-stage piece and each commutator-assembly entry is checked
+    # against the cap at the length its word will have once the piece is
+    # appended, before the piece is built. The prices are the built lengths,
+    # which `reduce_clause_word` sees: three preprocess words, the two
+    # gadget pieces, then the whole assembly. A cap one below a price aborts
+    # at that check with that length, and nothing more is built.
+    events, reduced = [], []
+    check_cap, reduce_word = refutation._check_cap, refutation.reduce_clause_word
+    f_map, commutator = Homomorphisms.f_map, refutation.commutator
+
+    def checking(stage, length, cap):
+        events.append((stage, length))
+        check_cap(stage, length, cap)
+
+    def reducing(game, cw):
+        reduced.append(len(cw))
+        return reduce_word(game, cw)
+
+    def building_gadget(self, beta, letters):
+        events.append("gadget piece")
+        return f_map(self, beta, letters)
+
+    def building_entry(a, b):
+        events.append("assembly entry")
+        return commutator(a, b)
+
+    monkeypatch.setattr(refutation, "_check_cap", checking)
+    monkeypatch.setattr(refutation, "reduce_clause_word", reducing)
+    monkeypatch.setattr(Homomorphisms, "f_map", building_gadget)
+    monkeypatch.setattr(refutation, "commutator", building_entry)
+    cases = (
+        (16, 1, "first gadget stage"),
+        (16, 1, "second gadget stage"),
+        (12, 3, "commutator assembly"),
+    )
+    stages = {stage for _, _, stage in cases}
+    for n, seed, stage in cases:
+        game = decompose_components(generate_random_game(3, n, 5 * n, seed))[0].game
+        z = decide(game).short_witness()
+        events.clear()
+        reduced.clear()
+        construct_sigma_word(game, z)
+        checks = [e for e in events if isinstance(e, tuple)]
+        priced = dict(checks)  # the last check of each stage
+        w = sum(reduced[:3])
+        assert priced["first gadget stage"] == w + reduced[3]
+        assert priced["second gadget stage"] == w + reduced[3] + reduced[4]
+        assert priced.get("commutator assembly", 0) == reduced[5]
+        # The last check of the stage, which exceeds every check before it.
+        at = events.index((stage, priced[stage]))
+        assert max(e[1] for e in events[:at] if isinstance(e, tuple)) < priced[stage]
+        run = events[:at + 1]
+        events.clear()
+        with pytest.raises(WordLengthCapExceeded) as err:
+            construct_sigma_word(game, z, cap=priced[stage] - 1)
+        assert (err.value.stage, err.value.length) == (stage, priced[stage])
+        assert events == run
+        # Every piece checked before the failing one was built; that one was not.
+        piece_checks = sum(1 for e in run if isinstance(e, tuple) and e[0] in stages)
+        assert run.count("gadget piece") + run.count("assembly entry") == piece_checks - 1
 
 
 def test_witness_word_price_is_its_length():
@@ -548,6 +613,53 @@ def test_witness_word_price_is_its_length():
             construct_sigma_word(game, z, cap=price)
         except WordLengthCapExceeded as e:
             assert e.stage != "witness word"
+
+
+def _refutable_components(count):
+    """Refutable components of generate_random_game(3, n, 5n, seed) for
+    seed = 1, 2, ... with n from 4 to 10, until count are found."""
+    out = []
+    for seed in range(1, 10**4):
+        n = 4 + seed % 7
+        for comp in decompose_components(generate_random_game(3, n, 5 * n, seed)):
+            if decide(comp.game).member:
+                out.append(comp.game)
+        if len(out) >= count:
+            return out[:count]
+    raise AssertionError(f"only found {len(out)} refutable components")
+
+
+def test_short_witness_is_a_valid_odd_witness_no_longer_than_decides():
+    shortened = kept = 0
+    for game in _refutable_components(100):
+        outcome = decide(game)
+        z = outcome.short_witness()
+        # Balanced at every (player, question) and odd against the parities.
+        assert check_obstruction(game, z)
+        before, after = sum(map(abs, outcome.obstruction_z)), sum(map(abs, z))
+        assert after <= before
+        assert z == outcome.short_witness() == decide(game).short_witness()
+        if before == 2:
+            # Already as short as a witness gets: kept, and the even basis
+            # vectors are never built.
+            unbuilt = dataclasses.replace(outcome, even_basis=None)
+            assert unbuilt.short_witness() == z == outcome.obstruction_z
+            kept += 1
+        shortened += after < before
+    assert kept >= 20 and shortened >= 10
+
+
+def test_refutation_words_of_the_refute3_corpus_stay_short():
+    # The benchmark's refute3 games: their sixteen words hold 21,400
+    # clauses from decide's witnesses and 7,036 from the shortened ones.
+    total = 0
+    for n in (12, 16, 20, 24):
+        for seed in range(4):
+            game = generate_random_game(3, n, 5 * n, seed)
+            cert = refute(game)
+            assert reduce_clause_word(game, cert.sigma_word) == GroupWord.sign(3)
+            total += len(cert.sigma_word)
+    assert total <= 8000
 
 
 def test_refute_driver_multi_component():
