@@ -1,9 +1,7 @@
 """Deciders and verifiable certificates for perfect XOR-game strategies."""
 
 from .decider import (
-    AbelianVector,
     DecisionOutcome,
-    abelianize_clause_word,
     check_obstruction,
     decide,
     incidence_matrix,
@@ -52,6 +50,7 @@ from .refutation import (
 )
 from .words import (
     GroupWord,
+    abelianizes_to_sign,
     commutator,
     inverse,
     is_parity_trivial,

@@ -161,7 +161,12 @@ def _load_certificate(path: str) -> dict:
 
 
 def _check_cert_matches(obj: dict, game: Game):
+    """Each header key present must be a JSON integer (65) equal to the
+    game's (66): `!=` alone would pass 3.0 and true, and call "3" a
+    mismatch."""
     for key, actual in _certificate_header(game).items():
+        if key in obj and type(obj[key]) is not int:
+            raise CliError(f"bad certificate: {key!r} must be an integer, got {obj[key]!r}", EX_DATA)
         if key in obj and obj[key] != actual:
             raise CliError(
                 f"certificate {key}={obj[key]} does not match game {key}={actual}",

@@ -6,7 +6,10 @@ abelian per player (the zero-sum sublattice of Z^alphabet) times the sign
 bit, so a product of clauses reaches the sign element there iff an integer
 vector z over the clauses balances every (player, question) incidence
 exactly while hitting an odd parity total. The decision reduces to an
-integer kernel computation on the incidence matrix.
+integer kernel computation on the incidence matrix. The signed clause
+counts of a clause word are such a vector, so the same test on a word is
+`words.abelianizes_to_sign` on its normal form; `witness_clause_word`
+checks its expansion of z that way.
 
 For 3-player games a positive answer is equivalent to the game having no
 perfect commuting-operator strategy; for other player counts it only rules
@@ -22,24 +25,7 @@ from dataclasses import dataclass, field
 
 from .games import Game
 from .intlinalg import IntMatrix, l1_descent, parity_kernel_basis
-
-
-@dataclass(frozen=True)
-class AbelianVector:
-    """Image of an even clause word: per-player exponent vectors + sign bit.
-
-    Each per-player vector sums to zero (even words land in the zero-sum
-    sublattice). Position t of the clause sequence contributes (-1)^t with
-    t = 1 carrying the minus sign.
-    """
-
-    per_player: tuple[tuple[int, ...], ...]
-    sigma: int
-
-    def is_sign(self) -> bool:
-        return self.sigma == 1 and all(
-            all(x == 0 for x in vec) for vec in self.per_player
-        )
+from .words import abelianizes_to_sign, reduce_clause_word
 
 
 @dataclass(frozen=True)
@@ -72,20 +58,6 @@ class DecisionOutcome:
             return z
         doubled = [tuple(map((2).__mul__, vec)) for vec in self.odd_basis]
         return l1_descent(z, self.even_basis() + doubled)
-
-
-def abelianize_clause_word(game: Game, cw: tuple[int, ...]) -> AbelianVector:
-    if len(cw) % 2 != 0:
-        raise ValueError("only even clause words have an abelian image")
-    vecs = [[0] * game.alphabet for _ in range(game.players)]
-    sigma = 0
-    for t, i in enumerate(cw, start=1):
-        c = game.clauses[i]
-        sign = -1 if t % 2 == 1 else 1
-        for a, q in enumerate(c.questions):
-            vecs[a][q] += sign
-        sigma ^= c.parity
-    return AbelianVector(tuple(tuple(v) for v in vecs), sigma)
 
 
 def incidence_matrix(game: Game) -> IntMatrix:
@@ -148,6 +120,6 @@ def witness_clause_word(game: Game, z) -> tuple[int, ...]:
         zi = int(z[i])
         indices += ((0, i) if zi > 0 else (i, 0)) * abs(zi)
     word = tuple(indices)
-    if not abelianize_clause_word(game, word).is_sign():
+    if not abelianizes_to_sign(reduce_clause_word(game, word)):
         raise AssertionError("witness word does not abelianize to the sign element")
     return word

@@ -13,8 +13,11 @@ assemblies agree on every player. Every stage is an exact group identity,
 checked before proceeding: a failed check is a bug and raises
 AssertionError, while a word outgrowing the cap is a construction limit and
 raises WordLengthCapExceeded. The witness word, preprocess's clearing
-word, each gadget-stage piece and each assembly entry are priced against
-the cap before they are built. Clause words are carried as index sequences
+word, each decomposition entry, each gadget-stage piece and each assembly
+entry are priced against the cap before they are built. Whether a word
+equals the sign element up to pair-commutators is read off its normal form
+(`words.abelianizes_to_sign`), on the witness word and on preprocess's
+input and output. Clause words are carried as index sequences
 throughout so membership in the clause subgroup is manifest. Each letter of
 the assembled word is reduced once: a stage reduces only the piece it
 appends and multiplies that normal form onto the one it carries. The
@@ -30,11 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .decider import abelianize_clause_word, decide, witness_clause_word
+from .decider import decide, witness_clause_word
 from .games import Game
 from .graphs import PairGraph, build_hypergraph, decompose_components, gadget_word
 from .words import (
-    GroupWord, commutator, inverse, is_parity_trivial, multiply, reduce_clause_word, reduce_letters,
+    GroupWord, abelianizes_to_sign, commutator, inverse, is_parity_trivial, multiply,
+    reduce_clause_word, reduce_letters,
 )
 
 # Clause-word length beyond which construction aborts.
@@ -95,8 +99,8 @@ def decompose_pair_commutators(letters, budget: int) -> list[CommutatorEntry]:
     Each entry holds a conjugator copy as long as the word, and a pair far
     apart takes a swap per two letters between them, so the recorded
     letters can still grow as the cube of the word length; `budget` caps
-    them and aborts with the word-length diagnostic instead of exhausting
-    memory.
+    them, pricing each entry before its conjugator is copied, and aborts
+    with the word-length diagnostic instead of exhausting memory.
     """
     work = list(letters)
     if len(work) % 2 != 0 or not is_parity_trivial(work):
@@ -125,13 +129,15 @@ def decompose_pair_commutators(letters, budget: int) -> list[CommutatorEntry]:
         for p in range(j, i + 1, -2):
             a, b, c = work[p - 2], work[p - 1], work[p]
             even_prefix = p % 2 == 0
+            # Priced before the conjugator is copied: the prefix before the
+            # three letters, or the suffix after them.
+            spent += 2 * (p - 2 if even_prefix else len(work) - p - 1) + 8
+            _check_cap("commutator decomposition", spent, budget)
             entry = CommutatorEntry(
                 conj=tuple(work[:p - 2]) if even_prefix else tuple(reversed(work[p + 1:])),
                 pair1=(a, b),
                 pair2=(c, b),
             )
-            spent += 2 * len(entry.conj) + 8
-            _check_cap("commutator decomposition", spent, budget)
             if even_prefix:
                 left.append(entry)
             else:
@@ -233,9 +239,9 @@ class Homomorphisms:
         than w. The word for player 2 has one path word per letter, so it
         can be far longer: its length is priced first, and the whole word
         is checked against the cap before that part is built."""
-        if not abelianize_clause_word(self.game, w).is_sign():
-            raise ValueError("preprocess input must abelianize to the sign element")
         red = reduce_clause_word(self.game, w)
+        if not abelianizes_to_sign(red):
+            raise ValueError("preprocess input must abelianize to the sign element")
         clear1 = self.phi_simple(0, red.per_player[0][::-1])
         red = multiply(red, reduce_clause_word(self.game, clear1))
         letters = red.per_player[1][::-1]
@@ -245,7 +251,7 @@ class Homomorphisms:
         w += clear1 + clear2
         if red.per_player[0] or red.per_player[1]:
             raise AssertionError("preprocess failed to clear players 1 and 2")
-        if not abelianize_clause_word(self.game, w).is_sign():
+        if not abelianizes_to_sign(red):
             raise AssertionError("preprocess broke the abelian image")
         return w, red
 
@@ -261,16 +267,14 @@ def construct_sigma_word(
     _check_cap("witness word", 2 * sum(abs(int(x)) for x in z[1:]), cap)
     w, red = hom.preprocess(witness_clause_word(game, z), cap)
 
-    y1 = red.per_player[2]
-    if not is_parity_trivial(y1):
-        raise AssertionError("player-3 residue not parity-trivial after preprocess")
-    entries = decompose_pair_commutators(y1, budget=cap)
+    # preprocess checked that the player-3 residue is parity-trivial.
+    entries = decompose_pair_commutators(red.per_player[2], budget=cap)
 
     # `red` stays the normal form of `w`: normal forms are unique, so the
     # product of the forms of w and of an appended piece is the form of both.
     for beta, stage in enumerate(("first gadget stage", "second gadget stage")):
         y = red.per_player[2]
-        if beta and not is_parity_trivial(y):  # y1 was checked above
+        if beta and not is_parity_trivial(y):  # preprocess checked the first
             raise AssertionError("player-3 residue escaped the commutator subgroup")
         # Priced before it is built: a tree path and a gadget-map word per letter.
         size = _priced(hom.paths[(2, beta)], y) + _priced(hom.gadget[beta], y)

@@ -118,3 +118,14 @@ def is_parity_trivial(letters) -> bool:
     """
     return Counter(letters[0::2]) == Counter(letters[1::2])
 
+
+def abelianizes_to_sign(word: GroupWord) -> bool:
+    """True iff a clause word with this normal form equals the sign element
+    once pair-commutators are quotiented away: the sign bit is set and every
+    player's letters are parity-trivial.
+
+    Exact on the normal form `reduce_clause_word` returns, because each of
+    its reductions cancels two adjacent entries, which sit at opposite
+    parities: every letter's signed count stays what it was in the clause
+    word. An odd clause word leaves each player an odd word, so it fails."""
+    return word.sigma == 1 and all(map(is_parity_trivial, word.per_player))

@@ -388,6 +388,31 @@ def test_verify_game_mismatch(tmp_path, capsys, ghz_file):
     assert code == 66
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("key,value,code", [
+    # 3.0 and true compare equal to 3 and 1, and once printed PASS; "3"
+    # once exited 66 as "players=3 does not match game players=3".
+    ("players", 3.0, 65),
+    ("players", True, 65),
+    ("players", "3", 65),
+    ("alphabet", 1.0, 65),
+    ("alphabet", None, 65),
+    ("num_clauses", True, 65),
+    ("num_clauses", [1], 65),
+    ("players", 4, 66),  # a wrong integer is still a mismatch
+    ("num_clauses", 2, 66),
+])
+def test_certificate_header_values_are_json_integers(tmp_path, capsys, command, key, value, code):
+    # The game `1 1 1 0` with the all-zero table: PASS with a correct header.
+    cert = {"type": "merp", "phi": [["0"], ["0"], ["0"]], key: value}
+    got, out, err = _verify_with(tmp_path, capsys, command, "1 1 1 0\n", cert)
+    assert (got, out) == (code, "")
+    if code == 65:
+        assert err == f"error: bad certificate: {key!r} must be an integer, got {value!r}\n"
+    else:
+        assert err.startswith(f"error: certificate {key}={value} does not match game {key}=")
+
+
 def test_simulate(tmp_path, capsys, ghz_file):
     cert = str(tmp_path / "cert.json")
     run(capsys, "decide", ghz_file, "--out", cert)
@@ -712,8 +737,10 @@ def test_failed_self_check_exits_70_with_one_line(tmp_path, capsys, monkeypatch,
 
 def test_failed_refutation_check_exits_70_with_one_line(tmp_path, capsys, monkeypatch):
     # A failed stage identity of the refutation is a bug, reported like any
-    # other self-check and not as a cap abort.
-    monkeypatch.setattr("xorgames.refutation.is_parity_trivial", lambda letters: False)
+    # other self-check and not as a cap abort. The fake passes preprocess's
+    # input and fails its output.
+    verdicts = iter((True, False))
+    monkeypatch.setattr("xorgames.refutation.abelianizes_to_sign", lambda word: next(verdicts))
     game = tmp_path / "pair.txt"
     game.write_text(PAIR_TEXT)
     cert = tmp_path / "cert.json"
@@ -721,7 +748,7 @@ def test_failed_refutation_check_exits_70_with_one_line(tmp_path, capsys, monkey
     assert code == 70
     assert err == (
         "error: internal check failed:"
-        " player-3 residue not parity-trivial after preprocess\n"
+        " preprocess broke the abelian image\n"
     )
     assert "verdict:" not in out
     assert not cert.exists()

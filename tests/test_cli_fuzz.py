@@ -122,7 +122,8 @@ def test_decide_exits_cleanly_and_its_certificate_verifies(data):
 
 def _mutations(cert: dict):
     """Ways to damage one certificate: set or drop a key, nudge one entry of
-    a list, or replace the whole document. A refutation's `sigma_word` can
+    a list, retype a header value (the same value as a float, a boolean or a
+    string), or replace the whole document. A refutation's `sigma_word` can
     also have one entry moved to another clause or two entries swapped:
     every index stays in range and `z` stays valid, so only the product
     check can tell."""
@@ -133,6 +134,8 @@ def _mutations(cert: dict):
         st.tuples(st.just("drop"), st.sampled_from(keys), st.none()),
         st.tuples(st.just("nudge"), st.sampled_from(lists or ["phi"]), st.integers(-2, 2)),
         st.tuples(st.just("replace"), st.none(), JSON_VALUES),
+        st.tuples(st.just("retype"), st.sampled_from(["players", "alphabet", "num_clauses"]),
+                  st.sampled_from([float, bool, str])),
     ]
     if cert.get("sigma_word"):
         position = st.integers(0, len(cert["sigma_word"]) - 1)
@@ -149,6 +152,8 @@ def _mutate(cert: dict, how, key, value):
         cert.pop(key, None)
     elif how == "replace":
         return value
+    elif how == "retype":
+        cert[key] = value(cert[key])
     elif how == "move":
         cert["sigma_word"][key] = value
     elif how == "swap":
@@ -171,10 +176,13 @@ def test_verify_and_simulate_exit_cleanly_on_corrupted_certificates(data, game):
         assert run("decide", path, "--out", cert_path)[0] in VERDICTS
         with open(cert_path) as fh:
             cert = json.load(fh)
-        damaged = _mutate(cert, *data.draw(_mutations(cert)))
+        mutation = data.draw(_mutations(cert))
+        damaged = _mutate(cert, *mutation)
         write(d, "cert.json", json.dumps(damaged).encode())
         code, out, err = run("verify", path, cert_path)
         assert code in {0, 1, 65, 66}
+        if mutation[0] == "retype":  # a header value that is not a JSON integer
+            assert code == 65
         assert out == {0: "PASS\n", 1: "FAIL\n"}.get(code, "")
         if code == 0:
             assert _checker_verdict(game, damaged) is None

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from xorgames.decider import (
-    abelianize_clause_word,
     check_obstruction,
     decide,
     incidence_matrix,
     witness_clause_word,
 )
 from xorgames.games import generate_random_game, parse_text
+from xorgames.words import abelianizes_to_sign, reduce_clause_word
 
 from helpers import DenseMatrix
 
@@ -24,36 +24,86 @@ def test_incidence_matrix_shape():
     assert b.data[1] == (1, 0, 0, 1, 0, 1)  # clause (1,2,2)
 
 
-def test_abelianize_cancelling_pair():
-    vec = abelianize_clause_word(PAIR, (0, 0))
-    assert vec.per_player == ((0,),) * 3 and vec.sigma == 0
+def reference_abelian_image(game, cw):
+    """Per-player exponent vectors and sign bit of an even clause word, the
+    abelianization that `words.abelianizes_to_sign` replaced: position t
+    (from 1) adds (-1)^t to each question its clause asks, and the sign is
+    the parity of the clause parities."""
+    assert len(cw) % 2 == 0, "only even clause words have an abelian image"
+    vecs = [[0] * game.alphabet for _ in range(game.players)]
+    sigma = 0
+    for t, i in enumerate(cw, start=1):
+        c = game.clauses[i]
+        for a, q in enumerate(c.questions):
+            vecs[a][q] += -1 if t % 2 else 1
+        sigma ^= c.parity
+    return vecs, sigma
 
 
-def test_abelianize_sign_rule():
-    game = parse_text("1 1 1 0\n2 2 2 1")
-    vec = abelianize_clause_word(game, (0, 1))
-    assert vec.per_player == ((-1, 1),) * 3
-    assert vec.sigma == 1
+def reference_is_sign(game, cw) -> bool:
+    if len(cw) % 2:
+        return False
+    vecs, sigma = reference_abelian_image(game, cw)
+    return sigma == 1 and not any(map(any, vecs))
 
 
-def test_abelianize_rejects_odd_words():
-    with pytest.raises(ValueError):
-        abelianize_clause_word(GHZ, (0,))
+def signed_counts(game, cw) -> tuple[int, ...]:
+    """The clause word's z: position t (from 1) adds (-1)^t to its clause."""
+    z = [0] * game.num_clauses
+    for t, i in enumerate(cw, start=1):
+        z[i] += -1 if t % 2 else 1
+    return tuple(z)
 
 
-def test_abelianize_invariant_under_parity_permutation():
+def _shuffled_sign_word(rng, game) -> tuple[int, ...]:
+    """A witness word moved around without changing its abelian image:
+    entries two apart swapped, and cancelling pairs inserted."""
+    word = list(witness_clause_word(game, decide(game).obstruction_z))
+    for _ in range(rng.randrange(6)):
+        if len(word) >= 3:
+            j = rng.randrange(len(word) - 2)
+            word[j], word[j + 2] = word[j + 2], word[j]
+        j, i = rng.randrange(len(word) + 1), rng.randrange(game.num_clauses)
+        word[j:j] = [i, i]
+    return tuple(word)
+
+
+def _abelian_image_agrees(game, cw) -> bool:
+    expected = reference_is_sign(game, cw)
+    return (
+        abelianizes_to_sign(reduce_clause_word(game, cw)) is expected
+        and check_obstruction(game, signed_counts(game, cw)) is expected
+    )
+
+
+def test_abelian_image_of_clause_words_matches_the_reference():
+    two = parse_text("1 1 1 0\n2 2 2 1")
+    assert reference_abelian_image(two, (0, 1)) == ([[-1, 1]] * 3, 1)
+    assert reference_abelian_image(PAIR, (0, 0)) == ([[0]] * 3, 0)
+    for game, cw, is_sign in [
+        (PAIR, (0, 1), True), (PAIR, (0, 0), False), (PAIR, (), False),
+        (two, (0, 1), False), (GHZ, (0,), False), (PAIR, (0, 1, 0), False),
+    ]:
+        assert reference_is_sign(game, cw) is is_sign
+        assert _abelian_image_agrees(game, cw), (game, cw)
+    # Random words on k = 2..5 players, odd lengths included, and shuffled
+    # witness words of member games with one entry sometimes dropped.
     rng = random.Random(61)
-    for _ in range(200):
-        game = generate_random_game(3, 3, 5, seed=rng.randrange(10**6))
-        length = 2 * rng.randrange(1, 5)
-        indices = [rng.randrange(game.num_clauses) for _ in range(length)]
-        base = abelianize_clause_word(game, tuple(indices))
-        swapped = list(indices)
-        for _ in range(4):
-            if length >= 3:
-                j = rng.randrange(length - 2)
-                swapped[j], swapped[j + 2] = swapped[j + 2], swapped[j]
-        assert abelianize_clause_word(game, tuple(swapped)) == base
+    counts = {"sign": 0, "odd": 0, "even other": 0}
+    for _ in range(900):
+        game = generate_random_game(
+            rng.randrange(2, 6), rng.randrange(1, 4), rng.randrange(1, 7), seed=rng.randrange(10**6)
+        )
+        if rng.random() < 0.5 and decide(game).member:
+            cw = _shuffled_sign_word(rng, game)
+            if rng.random() < 0.25:
+                cw = cw[:-1]
+        else:
+            cw = tuple(rng.randrange(game.num_clauses) for _ in range(rng.randrange(9)))
+        assert _abelian_image_agrees(game, cw), (game, cw)
+        kind = "odd" if len(cw) % 2 else "sign" if reference_is_sign(game, cw) else "even other"
+        counts[kind] += 1
+    assert min(counts.values()) >= 100, counts
 
 
 def test_decide_ghz_not_member():
@@ -98,13 +148,13 @@ def test_decide_invariant_under_clause_reorder_and_relabel():
 def test_witness_word_pair_game():
     word = witness_clause_word(PAIR, (1, -1))
     assert len(word) == 2
-    assert abelianize_clause_word(PAIR, word).is_sign()
+    assert abelianizes_to_sign(reduce_clause_word(PAIR, word))
 
 
 def test_witness_word_chsh():
     word = witness_clause_word(CHSH, (1, -1, -1, 1))
     assert len(word) == 6
-    assert abelianize_clause_word(CHSH, word).is_sign()
+    assert abelianizes_to_sign(reduce_clause_word(CHSH, word))
 
 
 def test_witness_rejects_invalid_vectors():
@@ -136,7 +186,7 @@ def test_witness_postcondition_randomized():
         found += 1
         word = witness_clause_word(game, out.obstruction_z)
         assert len(word) % 2 == 0
-        assert abelianize_clause_word(game, word).is_sign()
+        assert abelianizes_to_sign(reduce_clause_word(game, word))
     assert found >= 30
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from xorgames import refutation
-from xorgames.decider import abelianize_clause_word, check_obstruction, decide, witness_clause_word
+from xorgames.decider import check_obstruction, decide, witness_clause_word
 from xorgames.games import generate_random_game, make_game, parse_text
 from xorgames.graphs import build_hypergraph, decompose_components
 from xorgames.refutation import (
@@ -16,7 +16,9 @@ from xorgames.refutation import (
     refute,
     WordLengthCapExceeded,
 )
-from xorgames.words import GroupWord, is_parity_trivial, multiply, reduce_clause_word, reduce_letters
+from xorgames.words import (
+    GroupWord, abelianizes_to_sign, is_parity_trivial, multiply, reduce_clause_word, reduce_letters,
+)
 
 from helpers import commutator_entry_letters, identity_word
 
@@ -46,9 +48,10 @@ def connected_games(rng, count, alphabet=3, max_clauses=6, member=None):
     return out
 
 
-def _is_zero(vec) -> bool:
-    """Whether an abelian image is trivial: no exponent and no sign."""
-    return vec.sigma == 0 and not any(map(any, vec.per_player))
+def _is_zero(word: GroupWord) -> bool:
+    """Whether a normal form's abelian image is trivial: every player's
+    letters parity-trivial, and no sign."""
+    return word.sigma == 0 and all(map(is_parity_trivial, word.per_player))
 
 
 def random_even_letters(rng, alphabet, max_pairs=3):
@@ -100,8 +103,7 @@ def test_simple_right_inverse_preserves_commutator_subgroup():
             letters = u + v + tuple(reversed(u)) + tuple(reversed(v))
             assert is_parity_trivial(letters)  # commutators of even pairs
             word = hom.phi_simple(alpha, letters)
-            vec = abelianize_clause_word(game, word)
-            assert _is_zero(vec)
+            assert _is_zero(reduce_clause_word(game, word))
 
 
 def test_pair_right_inverse_a1():
@@ -173,7 +175,7 @@ def test_preprocess_pair_game():
     out, red = hom.preprocess(w)
     assert red == reduce_clause_word(PAIR, out)
     assert red.per_player[0] == () and red.per_player[1] == ()
-    assert abelianize_clause_word(PAIR, out).is_sign()
+    assert abelianizes_to_sign(reduce_clause_word(PAIR, out))
 
 
 def test_preprocess_random_member_games():
@@ -184,7 +186,7 @@ def test_preprocess_random_member_games():
         out, red = hom.preprocess(w)
         assert red == reduce_clause_word(game, out)
         assert red.per_player[0] == () and red.per_player[1] == ()
-        assert abelianize_clause_word(game, out).is_sign()
+        assert abelianizes_to_sign(reduce_clause_word(game, out))
         assert len(out) % 2 == 0
         # the player-3 residue lands in the commutator subgroup
         assert is_parity_trivial(red.per_player[2])
@@ -214,9 +216,12 @@ def test_preprocess_prices_its_clearing_word_before_building_it(monkeypatch):
 
 
 def test_preprocess_rejects_wrong_abelianization():
+    # Not the sign element up to pair-commutators: the identity, a word with
+    # the sign bit whose questions do not balance, and an odd word.
     hom = Homomorphisms(GHZ)
-    with pytest.raises(ValueError):
-        hom.preprocess((0, 0))
+    for w in ((0, 0), (0, 1), (0,)):
+        with pytest.raises(ValueError, match="^preprocess input must abelianize to the sign element$"):
+            hom.preprocess(w)
 
 
 # --- gadget maps ---------------------------------------------------------
@@ -326,7 +331,7 @@ def test_gadget_map_stays_in_commutator_subgroup():
         assert is_parity_trivial(letters)  # commutators of even pairs
         for beta in (0, 1):
             word = hom.f_map(beta, letters)
-            assert _is_zero(abelianize_clause_word(game, word))
+            assert _is_zero(reduce_clause_word(game, word))
             assert reduce_clause_word(game, word).sigma == 0
             checked += 1
     assert checked >= 30
@@ -473,6 +478,23 @@ def test_decompose_budget_aborts_with_the_cap_diagnostic():
     assert str(err.value) == "commutator decomposition: clause word length 12 exceeds cap 11"
 
 
+def test_decompose_prices_each_entry_before_copying_its_conjugator(monkeypatch):
+    # On gen -k 3 -n 20 -m 100 --seed 0 under cap 1000, the seventh entry,
+    # with a 208-letter conjugator, would take the decomposition to 1,368
+    # letters: the abort comes before that entry is built.
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(CommutatorEntry(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(refutation, "CommutatorEntry", counting)
+    with pytest.raises(WordLengthCapExceeded) as err:
+        refute(generate_random_game(3, 20, 100, seed=0), cap=1000)
+    assert str(err.value) == "commutator decomposition: clause word length 1368 exceeds cap 1000"
+    assert len(built) == 6
+
+
 def test_decompose_empty():
     assert decompose_pair_commutators((), budget=DEFAULT_CAP) == []
 
@@ -493,7 +515,7 @@ def test_construct_sigma_word_fuzz():
         z = decide(game).obstruction_z
         cert = construct_sigma_word(game, z)
         assert reduce_clause_word(game, cert.sigma_word) == GroupWord.sign(3)
-        assert abelianize_clause_word(game, cert.sigma_word).is_sign()
+        assert abelianizes_to_sign(reduce_clause_word(game, cert.sigma_word))
         assert len(cert.sigma_word) % 2 == 0
         lengths.append(len(cert.sigma_word))
     assert max(lengths) >= 2
