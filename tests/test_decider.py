@@ -29,7 +29,8 @@ def reference_abelian_image(game, cw):
     abelianization that `words.abelianizes_to_sign` replaced: position t
     (from 1) adds (-1)^t to each question its clause asks, and the sign is
     the parity of the clause parities."""
-    assert len(cw) % 2 == 0, "only even clause words have an abelian image"
+    if len(cw) % 2:
+        raise ValueError("only even clause words have an abelian image")
     vecs = [[0] * game.alphabet for _ in range(game.players)]
     sigma = 0
     for t, i in enumerate(cw, start=1):
@@ -76,10 +77,42 @@ def _abelian_image_agrees(game, cw) -> bool:
     )
 
 
+def test_abelianize_cancelling_pair():
+    assert reference_abelian_image(PAIR, (0, 0)) == ([[0]] * 3, 0)
+    assert _abelian_image_agrees(PAIR, (0, 0))
+
+
+def test_abelianize_sign_rule():
+    game = parse_text("1 1 1 0\n2 2 2 1")
+    assert reference_abelian_image(game, (0, 1)) == ([[-1, 1]] * 3, 1)
+    assert _abelian_image_agrees(game, (0, 1))
+
+
+def test_abelianize_rejects_odd_words():
+    with pytest.raises(ValueError):
+        reference_abelian_image(GHZ, (0,))
+    assert not abelianizes_to_sign(reduce_clause_word(GHZ, (0,)))
+    assert not check_obstruction(GHZ, signed_counts(GHZ, (0,)))
+
+
+def test_abelianize_invariant_under_parity_permutation():
+    rng = random.Random(61)
+    for _ in range(200):
+        game = generate_random_game(3, 3, 5, seed=rng.randrange(10**6))
+        length = 2 * rng.randrange(1, 5)
+        indices = [rng.randrange(game.num_clauses) for _ in range(length)]
+        base = reference_abelian_image(game, tuple(indices))
+        swapped = list(indices)
+        for _ in range(4):
+            if length >= 3:
+                j = rng.randrange(length - 2)
+                swapped[j], swapped[j + 2] = swapped[j + 2], swapped[j]
+        assert reference_abelian_image(game, tuple(swapped)) == base
+        assert _abelian_image_agrees(game, tuple(swapped))
+
+
 def test_abelian_image_of_clause_words_matches_the_reference():
     two = parse_text("1 1 1 0\n2 2 2 1")
-    assert reference_abelian_image(two, (0, 1)) == ([[-1, 1]] * 3, 1)
-    assert reference_abelian_image(PAIR, (0, 0)) == ([[0]] * 3, 0)
     for game, cw, is_sign in [
         (PAIR, (0, 1), True), (PAIR, (0, 0), False), (PAIR, (), False),
         (two, (0, 1), False), (GHZ, (0,), False), (PAIR, (0, 1, 0), False),
