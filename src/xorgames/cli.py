@@ -10,7 +10,8 @@ Exit codes: 0 verdict PERFECT or CLASSICALLY_PERFECT (or verify pass),
 (`decide --out -` included) or `classical`'s size limit, 65 unreadable,
 malformed or too deeply nested input, 66 certificate/game mismatch,
 70 internal error (a re-verification or any other exact self-check failing,
-or a refutation outgrowing `--cap`; always reported as one `error:` line),
+a refutation outgrowing `--cap`, or any other unexpected exception; always
+reported as one `error:` line),
 71 out of memory, 73 an output path that cannot be written (one `error:`
 line; `decide` then prints no verdict).
 """
@@ -372,6 +373,9 @@ def main(argv=None) -> int:
         return 0
     except MemoryError:
         pass  # reported below, once the frames holding the memory are released
+    except Exception as e:  # any other escape from a subcommand is a bug too
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EX_INTERNAL
     print("error: out of memory", file=sys.stderr)
     return EX_RESOURCE
 

@@ -73,6 +73,11 @@ def incidence_matrix(game: Game) -> IntMatrix:
     return IntMatrix(tuple(rows))
 
 
+# The last completed decision, as at most one (game, outcome) pair: `refute`
+# decides the component that `cli.cmd_decide` has just decided.
+_last_decision: list[tuple[Game, DecisionOutcome]] = []
+
+
 def decide(game: Game) -> DecisionOutcome:
     """Search the integer kernel of the transposed incidence matrix for a
     vector with odd parity functional.
@@ -82,13 +87,26 @@ def decide(game: Game) -> DecisionOutcome:
     each unit of the vector into a clause pair, so this keeps certificates
     short while staying deterministic. Only the odd vectors are built; the
     even ones are built only if `short_witness` is called.
+
+    A game equal to the one of the last completed call gets that call's
+    outcome back, without a second Smith form. Any other game first drops
+    the stored outcome, so at most one decomposition is kept alive, and a
+    call that raises stores nothing.
     """
+    if _last_decision and (_last_decision[0][0] is game or _last_decision[0][0] == game):
+        return _last_decision[0][1]
+    _last_decision.clear()
     parities = tuple(c.parity for c in game.clauses)
     odd, even = parity_kernel_basis(incidence_matrix(game).transpose(), parities)
     if not odd:
-        return DecisionOutcome(member=False)
-    vec = min(odd, key=lambda v: (sum(map(abs, v)), len(v) - v.count(0)))
-    return DecisionOutcome(member=True, obstruction_z=vec, odd_basis=tuple(odd), even_basis=even)
+        outcome = DecisionOutcome(member=False)
+    else:
+        vec = min(odd, key=lambda v: (sum(map(abs, v)), len(v) - v.count(0)))
+        outcome = DecisionOutcome(
+            member=True, obstruction_z=vec, odd_basis=tuple(odd), even_basis=even
+        )
+    _last_decision.append((game, outcome))
+    return outcome
 
 
 def check_obstruction(game: Game, z) -> bool:

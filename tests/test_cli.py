@@ -648,6 +648,15 @@ def test_refutation_certificate_golden(tmp_path, capsys, n, seed):
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == GOLDEN_REFUTATIONS[(n, seed)]
 
 
+def test_decide_runs_one_smith_form_on_a_refutable_game(tmp_path, capsys, smith_calls):
+    # `refute` decides the component that `decide` has just decided and gets
+    # the stored outcome back, so one Smith form serves both.
+    code, err, cert = _decide_random(tmp_path, capsys, 12, 1)
+    assert code == 1 and err == ""
+    assert len(smith_calls) == 1
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == GOLDEN_REFUTATIONS[(12, 1)]
+
+
 def test_refutation_cap_abort_golden(tmp_path, capsys):
     # An explicit small cap: the game certifies under the default one.
     code, err, cert = _decide_random(tmp_path, capsys, 20, 0, "--cap", "1000")
@@ -749,6 +758,23 @@ def test_failed_refutation_check_exits_70_with_one_line(tmp_path, capsys, monkey
     assert err == (
         "error: internal check failed:"
         " preprocess broke the abelian image\n"
+    )
+    assert "verdict:" not in out
+    assert not cert.exists()
+
+
+def test_unexpected_exception_exits_70_with_one_line(tmp_path, capsys, monkeypatch):
+    # A bug that raises something other than a failed self-check must not
+    # end in a traceback with exit 1, the code of NOT_PERFECT.
+    monkeypatch.setattr("xorgames.refutation.is_parity_trivial", lambda word: False)
+    game = tmp_path / "pair.txt"
+    game.write_text(PAIR_TEXT)
+    cert = tmp_path / "cert.json"
+    code, out, err = run(capsys, "decide", str(game), "--out", str(cert))
+    assert code == 70
+    assert err == (
+        "error: internal error: ValueError:"
+        " decomposition needs an even parity-trivial word\n"
     )
     assert "verdict:" not in out
     assert not cert.exists()

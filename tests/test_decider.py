@@ -8,7 +8,7 @@ from xorgames.decider import (
     incidence_matrix,
     witness_clause_word,
 )
-from xorgames.games import generate_random_game, parse_text
+from xorgames.games import generate_random_game, parse_text, serialize_text
 from xorgames.words import abelianizes_to_sign, reduce_clause_word
 
 from helpers import DenseMatrix
@@ -261,3 +261,56 @@ def test_check_obstruction_matches_dense_product():
             other[a] = "2"
             game = parse_text(f"{' '.join(['1'] * players)} 0\n{' '.join(other)} 1")
             assert check_obstruction(game, (1, -1)) is dense_check_obstruction(game, (1, -1)) is False
+
+
+REFUTABLE = generate_random_game(3, 12, 60, 1)
+
+
+def test_an_equal_game_gets_the_stored_outcome_without_a_smith_form(smith_calls):
+    first = decide(REFUTABLE)
+    twin = parse_text(serialize_text(REFUTABLE))
+    assert twin == REFUTABLE and twin is not REFUTABLE
+    assert decide(twin) is first
+    assert decide(REFUTABLE) is first
+    assert len(smith_calls) == 1
+    # The shared outcome builds its even vectors afresh on every call.
+    z = first.short_witness()
+    assert first.short_witness() == z and check_obstruction(REFUTABLE, z)
+    assert len(smith_calls) == 1
+
+
+def test_a_game_one_parity_bit_away_is_decided_afresh(smith_calls):
+    assert decide(PAIR).member
+    flipped = parse_text("1 1 1 0\n1 1 1 0")
+    assert flipped != PAIR
+    assert not decide(flipped).member
+    assert len(smith_calls) == 2
+
+
+def test_only_the_last_decision_is_stored(smith_calls):
+    first = decide(PAIR)
+    decide(CHSH)
+    again = decide(PAIR)
+    assert again == first and again is not first
+    assert len(smith_calls) == 3
+
+
+def test_a_failed_decision_stores_nothing(smith_calls, monkeypatch):
+    import xorgames.intlinalg
+
+    real = xorgames.intlinalg._check_decomposition
+    failures = iter([True])
+
+    def fails_once(a, dec):
+        if next(failures, False):
+            raise AssertionError("Smith decomposition identity U*A*V == D failed")
+        real(a, dec)
+
+    decide(PAIR)
+    monkeypatch.setattr(xorgames.intlinalg, "_check_decomposition", fails_once)
+    with pytest.raises(AssertionError):
+        decide(CHSH)
+    assert decide(CHSH).obstruction_z == (1, -1, -1, 1)
+    # The failed call dropped PAIR's outcome before it ran.
+    assert decide(PAIR).obstruction_z == (1, -1)
+    assert len(smith_calls) == 4
