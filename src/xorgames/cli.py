@@ -181,9 +181,7 @@ def _load_strategy(obj: dict, game: Game) -> MerpStrategy:
         strategy = MerpStrategy.from_dict(obj)
     except (KeyError, ValueError, TypeError, ArithmeticError) as e:
         raise CliError(f"bad phase table: {e}", EX_DATA) from None
-    if strategy.players != game.players or any(
-        len(row) < game.alphabet for row in strategy.phi
-    ):
+    if not strategy.fits(game):
         raise CliError("phase table shape does not match the game", EX_MISMATCH)
     return strategy
 

@@ -437,6 +437,8 @@ def _sign_normalised(vec):
 def _kernel_vectors(a: IntMatrix, dec: SmithDecomposition, positions) -> list[tuple[int, ...]]:
     """Kernel basis vectors at the given positions: column rank + p of V for
     each p, sign-normalised, each checked against a·v = 0."""
+    if not positions:  # a replay of the V log would build no column
+        return []
     r = dec.rank
     n = dec.v.rows
     basis = [
@@ -445,7 +447,7 @@ def _kernel_vectors(a: IntMatrix, dec: SmithDecomposition, positions) -> list[tu
     ]
     # One product a·K with the basis vectors as the columns of K checks
     # a·v = 0 exactly for every vector at once.
-    if basis and any(map(any, a.mul(IntMatrix(tuple(zip(*basis)))).data)):
+    if any(map(any, a.mul(IntMatrix(tuple(zip(*basis)))).data)):
         raise AssertionError("kernel vector fails a·v = 0")
     return basis
 

@@ -8,8 +8,10 @@ mod 2, a linear diophantine condition solved exactly over the rationals.
 GF(2) alone is not enough: some perfect games need half-integer phases.
 
 Phases are exact Fractions end to end; floats appear only inside the
-numerical simulator. Each observable maps a basis state to one basis state,
-so the GHZ state stays two-sparse.
+numerical simulator. Each observable has a zero diagonal, asserted when it
+is built, so it maps a basis state to one basis state: the simulator
+carries the GHZ state's two branches through each clause as two complex
+amplitudes, one from |0...0> to |1...1> and one back.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 
 from .decider import incidence_matrix
 from .games import Game
@@ -49,9 +52,10 @@ class MerpStrategy:
     def players(self) -> int:
         return len(self.phi)
 
-    @property
-    def alphabet(self) -> int:
-        return len(self.phi[0]) if self.phi else 0
+    def fits(self, game: Game) -> bool:
+        """Whether the table has a row per player and an entry per question
+        in every row."""
+        return self.players == game.players and all(len(row) >= game.alphabet for row in self.phi)
 
     def to_dict(self) -> dict:
         return {
@@ -98,7 +102,7 @@ def verify_merp_symbolic(game: Game, strat: MerpStrategy) -> bool:
     """True iff every clause phase sum is congruent to its parity mod 2,
     exactly: each clause is summed in integers over the lcm of its own
     phases' denominators."""
-    if strat.players != game.players or strat.alphabet < game.alphabet:
+    if not strat.fits(game):
         raise ValueError("strategy dimensions do not match the game")
     parts = [[(x.numerator, x.denominator) for x in row] for row in strat.phi]
     return all(
@@ -119,62 +123,53 @@ def merp_observable(theta: float) -> tuple[tuple[complex, ...], ...]:
     return _matmul(_matmul(phase, pauli_x), phase_dagger)
 
 
-def _nonzero_columns(op):
-    """The columns of a 2x2 op as their nonzero entries, row 0 first, each
-    as (lands on the index with the qubit set, entry)."""
-    (a, b), (c, d) = op
-    return (
-        tuple((high, x) for high, x in ((False, a), (True, c)) if x),
-        tuple((high, x) for high, x in ((False, b), (True, d)) if x),
-    )
-
-
-def _apply_single_qubit(columns, psi: dict[int, complex], mask: int) -> dict[int, complex]:
-    """A 2x2 op, given by `_nonzero_columns`, on the qubit `mask` selects
-    of a sparse {index: amplitude}. A basis state whose qubit holds `bit`
-    receives column `bit`: row 0 lands on the index with the qubit cleared,
-    row 1 on the index with it set. A zero entry adds no amplitude."""
-    out: dict[int, complex] = {}
-    for index, amp in psi.items():
-        low = index & ~mask
-        for high, x in columns[index & mask != 0]:
-            target = low | mask if high else low
-            out[target] = out.get(target, 0j) + x * amp
-    return out
-
-
 def simulate_merp_value(game: Game, strat: MerpStrategy) -> StrategyValue:
     """State-vector evaluation of the expected score.
 
     Independent of the closed-form cosine expression: applies each 2x2
-    observable to its qubit of the GHZ state and takes inner products. A
-    table holds few distinct phases, so the observable of each distinct
-    phase mod 2 is built once and shared by every entry that has it.
+    observable to its qubit of the GHZ state and takes inner products. An
+    observable's diagonal is zero, so it maps a basis state to one basis
+    state, and each clause carries the GHZ state's two branches as two
+    amplitudes: the branch from |0...0> takes column 0's entry of each
+    player's observable and lands on |1...1>, the other takes column 1's
+    and lands on |0...0>. A table holds few distinct phases, so the
+    observable of each distinct phase mod 2 is built once and shared by
+    every entry that has it.
     """
-    k = game.players
-    if strat.players != k or strat.alphabet < game.alphabet:
+    if not strat.fits(game):
         raise ValueError("strategy dimensions do not match the game")
-    built: dict[Fraction, tuple] = {}
+    built: dict[Fraction, tuple[complex, complex]] = {}
 
-    def observable(x: Fraction):
-        # The observable has period 2 in phi: reducing first keeps float()
-        # finite.
-        x %= 2
-        op = built.get(x)
-        if op is None:
-            op = built[x] = _nonzero_columns(merp_observable(float(x) * math.pi / 2))
-        return op
+    def branch_entries(x: Fraction) -> tuple[complex, complex]:
+        # The entries that raise and lower the qubit: row 1 of column 0 and
+        # row 0 of column 1. The observable has period 2 in phi: reducing
+        # first keeps float() finite. Each table value is reduced once and
+        # each residue built once.
+        entries = built.get(x)
+        if entries is None:
+            r = x % 2
+            entries = built.get(r)
+            if entries is None:
+                (a, b), (c, d) = merp_observable(float(r) * math.pi / 2)
+                if a or d:
+                    raise AssertionError(f"observable of phase {r} has a nonzero diagonal")
+                entries = built[r] = (c, b)
+            built[x] = entries
+        return entries
 
-    ops = [list(map(observable, row)) for row in strat.phi]
-    masks = [1 << (k - 1 - a) for a in range(k)]
-    psi = {0: 1 / math.sqrt(2) + 0j, (1 << k) - 1: 1 / math.sqrt(2) + 0j}
-    bra = [(i, amp.conjugate()) for i, amp in psi.items()]
+    ops = [list(map(branch_entries, row)) for row in strat.phi]
+    amp = 1 / math.sqrt(2) + 0j
+    conj = amp.conjugate()
     total = 0.0
     for c in game.clauses:
-        vec = psi
-        for row, q, mask in zip(ops, c.questions, masks):
-            vec = _apply_single_qubit(row[q], vec, mask)
-        overlap = sum(conj * vec.get(i, 0j) for i, conj in bra)
+        high = low = amp
+        # `0j +` and the overlap's sum from 0, the |0...0> term first, are a
+        # sparse state vector's float operations in its order, so the value
+        # equals the general simulator's in tests/helpers.py bit for bit.
+        for up, down in map(getitem, ops, c.questions):
+            high = 0j + up * high
+            low = 0j + down * low
+        overlap = 0 + conj * low + conj * high
         total += ((-1) ** c.parity) * overlap.real
     value = 0.5 + total / (2 * game.num_clauses)
     if not -1e-12 <= value <= 1 + 1e-12:

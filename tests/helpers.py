@@ -8,7 +8,8 @@ Dense references for what the library keeps sparse or as logs:
   changed entry;
 - `integer_kernel_basis`, the whole kernel basis, of which `decide` builds
   only the odd vectors, and `odd_kernel_basis`, those odd vectors alone;
-- `reference_simulate_merp_value`, one observable per table entry.
+- `reference_simulate_merp_value`, the general sparse state-vector
+  simulator, with one observable per table entry.
 
 Besides them: `matrix` (an `IntMatrix` from nested rows), `identity_word`,
 the closed-form `analytic_merp_value`, the canonical form `canon_letters`
@@ -89,11 +90,13 @@ def _reference_single_qubit(op, psi, qubit: int, k: int):
 
 
 def reference_simulate_merp_value(game, strat) -> StrategyValue:
-    """The state-vector simulator with one observable built per table
-    entry, as `simulate_merp_value` was before it shared one observable per
-    distinct phase: the library's result must equal this one exactly."""
+    """The general sparse state-vector reference: each clause applies
+    every player's full 2x2 observable, one built per table entry, to a
+    {basis index: amplitude} dict and takes the overlap with the GHZ state.
+    It assumes nothing about the observables' shape, and the library's
+    two-branch `simulate_merp_value` must equal it bit for bit."""
     k = game.players
-    if strat.players != k or strat.alphabet < game.alphabet:
+    if strat.players != k or any(len(row) < game.alphabet for row in strat.phi):
         raise ValueError("strategy dimensions do not match the game")
     ops = [[merp_observable(float(x % 2) * math.pi / 2) for x in row] for row in strat.phi]
     psi = {0: 1 / math.sqrt(2) + 0j, (1 << k) - 1: 1 / math.sqrt(2) + 0j}

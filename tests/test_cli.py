@@ -780,6 +780,19 @@ def test_unexpected_exception_exits_70_with_one_line(tmp_path, capsys, monkeypat
     assert not cert.exists()
 
 
+def test_a_nonzero_observable_diagonal_fails_verify_with_one_line(tmp_path, capsys, monkeypatch, ghz_file):
+    # The simulator carries two GHZ branches only because every observable
+    # maps a basis state to one basis state; an observable that breaks this
+    # is a bug.
+    cert = str(tmp_path / "cert.json")
+    assert run(capsys, "decide", ghz_file, "--out", cert)[0] == 0
+    monkeypatch.setattr("xorgames.merp.merp_observable", lambda theta: ((1 + 0j, 0j), (0j, 1 + 0j)))
+    code, out, err = run(capsys, "verify", ghz_file, cert)
+    assert code == 70
+    assert err == "error: internal check failed: observable of phase 0 has a nonzero diagonal\n"
+    assert out == ""
+
+
 # sha256 of `export-graph` stdout for `gen -k 3 -n 12 -m 60 --seed 1`: the
 # hypergraph (pair None) and every ordered player pair, recorded while the
 # component labelling was a breadth-first flood.

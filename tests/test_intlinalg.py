@@ -700,6 +700,31 @@ def test_even_kernel_basis_matches_filtering_the_whole_basis(monkeypatch):
     assert both >= 3
 
 
+def test_an_empty_side_of_the_kernel_replays_no_column_operations(monkeypatch):
+    # Each game's kernel is the one vector ±(1, -1) over its two clauses,
+    # column 1 of V after the rank-1 image: odd in the pair and even in the
+    # repeated clause. The empty side comes back without a replay of the V
+    # log.
+    replays = []
+    original = ColumnOperations.columns
+
+    def recorded(self, js):
+        js = list(js)
+        replays.append(js)
+        return original(self, js)
+
+    monkeypatch.setattr(ColumnOperations, "columns", recorded)
+    for text, odd_side in (("1 1 1 0\n1 1 1 1", True), ("1 1 1 0\n1 1 1 0", False)):
+        game = parse_text(text)
+        a = incidence_matrix(game).transpose()
+        replays.clear()
+        odd, even = parity_kernel_basis(a, [c.parity for c in game.clauses])
+        built = even()
+        assert len(odd if odd_side else built) == 1
+        assert not (built if odd_side else odd)
+        assert replays == [[1]]
+
+
 def _is_nearest_best_step(xs, ds, t) -> bool:
     """Whether t minimises the convex f(t) = Σ|x + t·d| over the integers,
     nearest to 0 among the minimisers: neither neighbour is lower, and the

@@ -192,6 +192,22 @@ def test_simulator_builds_one_observable_per_distinct_phase(monkeypatch):
     assert len(angles) == len(set(angles)) == 3
 
 
+@pytest.mark.parametrize("check", [simulate_merp_value, verify_merp_symbolic])
+def test_a_ragged_table_does_not_match_the_game(check):
+    # Player 3's row holds one phase, yet clause 1 asks player 3 question 2.
+    game = parse_text("1 1 2 0\n2 2 1 0")
+    zero = Fraction(0)
+    with pytest.raises(ValueError, match="^strategy dimensions do not match the game$"):
+        check(game, MerpStrategy(((zero, zero), (zero, zero), (zero,))))
+    check(game, MerpStrategy(((zero, zero),) * 3))  # the entry filled in
+
+
+def test_an_observable_with_a_nonzero_diagonal_fails_the_simulation(monkeypatch):
+    monkeypatch.setattr(merp, "merp_observable", lambda theta: ((1 + 0j, 0j), (0j, 1 + 0j)))
+    with pytest.raises(AssertionError, match="observable of phase 0 has a nonzero diagonal"):
+        simulate_merp_value(GHZ, solve_merp(GHZ))
+
+
 def test_from_dict_parses_each_distinct_phase_string_once(monkeypatch):
     parsed = []
     real = merp._phase
