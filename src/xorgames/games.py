@@ -125,8 +125,9 @@ def parse_json(text: str) -> Game:
         if type(s) is not int:
             raise GameFormatError(f"clause parity {s!r} must be the integer 0 or 1")
         rows.append((q, s))
-    if "alphabet" in obj and type(obj["alphabet"]) is not int:
-        raise GameFormatError(f"alphabet {obj['alphabet']!r} must be an integer")
+    for key in ("players", "alphabet"):
+        if key in obj and type(obj[key]) is not int:
+            raise GameFormatError(f"{key} {obj[key]!r} must be an integer")
     game = make_game(rows, alphabet=obj.get("alphabet"))
     if "players" in obj and obj["players"] != game.players:
         raise GameFormatError(

@@ -64,6 +64,11 @@ class MerpStrategy:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MerpStrategy":
+        # Only lists: a string or an object row would be read one character
+        # or one key per phase.
+        table = obj["phi"]
+        if type(table) is not list or not all(type(row) is list for row in table):
+            raise ValueError(f"'phi' must be a list of lists of phases, not {table!r:.40}")
         # A table repeats a few phase strings many times: each distinct
         # string is matched and parsed once, in first-seen order, so a bad
         # entry raises exactly where it would without the cache.
@@ -77,7 +82,7 @@ class MerpStrategy:
                 x = parsed[entry] = _phase(entry)
             return x
 
-        return cls(tuple(tuple(map(phase, row)) for row in obj["phi"]))
+        return cls(tuple(tuple(map(phase, row)) for row in table))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,13 @@ solvability of the clause system (`gf2_solve`, also `decide`'s test for
 classical perfectness). Neither shares code with the polynomial-time paths
 the tests check against them: the integer decider, the phase solver and
 the refutation.
+
+Both work on Python ints used as bitsets. `classical_value` keeps, for each
+variable, the set of clauses it sits in, so a Gray-code step is one XOR into
+the set of satisfied clauses and one popcount. `gf2_solve` keeps each clause
+as a mask with bit a*alphabet+q for player a's question q, reduces each row
+by its top bit against the pivots found so far, and reads every clause back
+by the parity of a masked popcount.
 """
 
 from __future__ import annotations
@@ -33,82 +40,53 @@ def classical_value(game: Game) -> ClassicalResult:
     n_vars = game.players * game.alphabet
     if n_vars > 24:
         raise ValueError(f"2^{n_vars} assignments is beyond the brute-force cap")
-    m = game.num_clauses
-    clause_vars = [
-        [a * game.alphabet + q for a, q in enumerate(c.questions)]
-        for c in game.clauses
-    ]
-    clauses_of_var = [[] for _ in range(n_vars)]
-    for i, vs in enumerate(clause_vars):
-        for v in vs:
-            clauses_of_var[v].append(i)
-
-    # Gray-code walk: one variable flip per step, satisfaction updated
-    # incrementally. sat[i] starts at the all-(+1) assignment.
-    sat = [1 - c.parity for c in game.clauses]
-    count = sum(sat)
-    bits = 0  # bit v set means variable v answers -1
-    lex_key = 0  # bits mirrored so that smaller means lexicographically first
-    best_count, best_bits, best_key = count, bits, lex_key
+    # An assignment is a key whose bit n_vars-1-v is set when variable v
+    # answers -1, so that a smaller key is lexicographically first.
+    # flips[j]: the clauses of the variable at key bit j, as a clause bitset.
+    flips = [0] * n_vars
+    for i, c in enumerate(game.clauses):
+        for a, q in enumerate(c.questions):
+            flips[n_vars - 1 - a * game.alphabet - q] |= 1 << i
+    # Gray-code walk over keys, one variable flip per step: bit i of sat is
+    # set iff clause i is satisfied, starting at the all-(+1) assignment.
+    sat = sum(1 << i for i, c in enumerate(game.clauses) if c.parity == 0)
+    best_count, best_key = sat.bit_count(), 0
     for step in range(1, 1 << n_vars):
-        v = (step & -step).bit_length() - 1
-        bits ^= 1 << v
-        lex_key ^= 1 << (n_vars - 1 - v)
-        for i in clauses_of_var[v]:
-            if sat[i]:
-                sat[i] = 0
-                count -= 1
-            else:
-                sat[i] = 1
-                count += 1
-        if count > best_count or (count == best_count and lex_key < best_key):
-            best_count, best_bits, best_key = count, bits, lex_key
+        sat ^= flips[(step & -step).bit_length() - 1]
+        count = sat.bit_count()
+        if count >= best_count:
+            key = step ^ step >> 1
+            if count > best_count or key < best_key:
+                best_count, best_key = count, key
+    signs = [-1 if b == "1" else 1 for b in f"{best_key:0{n_vars}b}"]
     assignment = tuple(
-        tuple(
-            -1 if best_bits >> (a * game.alphabet + q) & 1 else 1
-            for q in range(game.alphabet)
-        )
-        for a in range(game.players)
+        tuple(signs[a * game.alphabet:(a + 1) * game.alphabet]) for a in range(game.players)
     )
-    return ClassicalResult(value=Fraction(best_count, m), assignment=assignment)
+    return ClassicalResult(value=Fraction(best_count, game.num_clauses), assignment=assignment)
 
 
 def gf2_solve(game: Game) -> tuple[int, ...] | None:
     """Gaussian elimination over GF(2): a 0/1 assignment (player-major bit
     per (player, question), free variables zero) solving every clause
     exactly, or None. Classical value is 1 iff this succeeds."""
-    n = game.players * game.alphabet
-    rows = []
-    for c in game.clauses:
-        mask = 0
-        for a, q in enumerate(c.questions):
-            mask |= 1 << (a * game.alphabet + q)
-        rows.append((mask, c.parity))
+    rows = [
+        (sum(1 << a * game.alphabet + q for a, q in enumerate(c.questions)), c.parity)
+        for c in game.clauses
+    ]
+    # Each row is reduced by its top bit until that bit is not yet a pivot.
     pivots: dict[int, tuple[int, int]] = {}
     for mask, rhs in rows:
-        for p in sorted(pivots, reverse=True):
-            if mask >> p & 1:
-                pmask, prhs = pivots[p]
-                mask ^= pmask
-                rhs ^= prhs
-        if mask == 0:
-            if rhs == 1:
-                return None
-            continue
-        pivots[mask.bit_length() - 1] = (mask, rhs)
-    bits = [0] * n
+        while mask and (p := mask.bit_length() - 1) in pivots:
+            mask ^= pivots[p][0]
+            rhs ^= pivots[p][1]
+        if mask:
+            pivots[p] = (mask, rhs)
+        elif rhs:
+            return None
+    x = 0  # bit v is variable v's value
     for p in sorted(pivots):  # other variables in a pivot row all sit below p
         mask, rhs = pivots[p]
-        acc = rhs
-        for v in range(p):
-            if mask >> v & 1:
-                acc ^= bits[v]
-        bits[p] = acc
-    for mask, rhs in rows:
-        acc = 0
-        for v in range(n):
-            if mask >> v & 1:
-                acc ^= bits[v]
-        if acc != rhs:
-            raise AssertionError("GF(2) solution fails the clause system")
-    return tuple(bits)
+        x |= (rhs ^ ((mask & x).bit_count() & 1)) << p
+    if any(((mask & x).bit_count() & 1) != rhs for mask, rhs in rows):
+        raise AssertionError("GF(2) solution fails the clause system")
+    return tuple(map(int, reversed(f"{x:0{game.players * game.alphabet}b}")))

@@ -505,6 +505,16 @@ def test_phase_strings_only_in_the_written_form(tmp_path, capsys, ghz_file, comm
         assert err.startswith("error: bad phase table") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("phi", [["0", "0", "0"], "000"], ids=["string_rows", "string_table"])
+def test_a_phase_table_that_is_not_a_list_of_lists_is_malformed(tmp_path, capsys, command, phi):
+    # Read as strings, each character would be a phase of 0: PASS, value 1.
+    obj = {"type": "merp", "players": 3, "alphabet": 1, "num_clauses": 1, "phi": phi}
+    code, out, err = _verify_with(tmp_path, capsys, command, "1 1 1 0\n", obj)
+    assert (code, out) == (65, "")
+    assert err.startswith("error: bad phase table: ") and err.count("\n") == 1
+
+
 def test_deeply_nested_json_is_malformed_input(tmp_path, capsys, ghz_file):
     nested = "[" * 100_000 + "]" * 100_000
     game = tmp_path / "game.json"

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from xorgames.games import (
@@ -93,6 +95,16 @@ BAD_JSON_TYPES = {
 def test_json_rejects_wrong_types(case):
     with pytest.raises(GameFormatError):
         parse_json(BAD_JSON_TYPES[case])
+
+
+@pytest.mark.parametrize("players", ["3.0", '"3"', "true", "null"])
+def test_json_players_must_be_an_integer(players):
+    # 3.0 equals the clause width and "3" prints like it; both are rejected
+    # for their type, as the alphabet is.
+    text = '{"players": %s, "clauses": [{"q": [1, 1, 1], "s": 0}]}' % players
+    with pytest.raises(GameFormatError, match=r"^players .* must be an integer$") as info:
+        parse_json(text)
+    assert repr(json.loads(players)) in str(info.value)
 
 
 def test_parse_game_autodetect():
