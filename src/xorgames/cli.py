@@ -24,17 +24,18 @@ import json
 import sys
 from fractions import Fraction
 
-from . import merp, oracle
-from .decider import check_obstruction, decide
+# The decision modules are imported here, although `verify` needs only
+# `check`: the benchmark's span tracer loads every module it rebinds by
+# importing this one, and requires `cli.decide` to be the function it rebinds.
+from . import check, merp, oracle
+from .check import EX_DATA, CertificateError
+from .decider import decide
 from .games import Game, GameFormatError, generate_random_game, parse_game, serialize_json, serialize_text
 from .graphs import PairGraph, decompose_components, hypergraph_dot, pair_graph_dot
 from .merp import MerpStrategy
 from .refutation import DEFAULT_CAP, WordLengthCapExceeded, refute
-from .words import GroupWord, reduce_clause_word
 
 EX_USAGE = 64
-EX_DATA = 65
-EX_MISMATCH = 66
 EX_INTERNAL = 70
 EX_RESOURCE = 71
 EX_CANTCREAT = 73
@@ -78,18 +79,6 @@ def _write_output(path: str | None, text: str):
         _write_file(path, text)
 
 
-def _certificate_header(game: Game) -> dict:
-    return {
-        "players": game.players,
-        "alphabet": game.alphabet,
-        "num_clauses": game.num_clauses,
-    }
-
-
-def _dump_certificate(obj: dict, path: str):
-    _write_file(path, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
-
-
 def cmd_decide(args) -> int:
     if args.out == "-":
         raise CliError("decide writes its certificate to a file; --out - is not supported", EX_USAGE)
@@ -131,13 +120,14 @@ def cmd_decide(args) -> int:
         verdict, code = "NO_PERFECT_MERP_INCONCLUSIVE", 2
 
     # Re-check exactly what gets written, with the checks `verify` runs.
+    cert = dict(check.certificate_header(game), **cert)
     try:
-        ok = _check_certificate(game, cert)
-    except CliError:  # content `verify` would reject as malformed
+        ok = check.check_certificate(game, cert)
+    except CertificateError:  # content `verify` would reject as malformed
         ok = False
     if not ok:
         raise CliError(f"{cert['type']} failed re-verification", EX_INTERNAL)
-    _dump_certificate(dict(_certificate_header(game), **cert), args.out)
+    _write_file(args.out, json.dumps(cert, sort_keys=True, separators=(",", ":")) + "\n")
     print(f"verdict: {verdict}")
     print(f"certificate: {args.out}")
     return code
@@ -151,96 +141,21 @@ def _integral_strategy(game: Game, bits) -> MerpStrategy:
     return MerpStrategy(phi)
 
 
-def _load_certificate(path: str) -> dict:
-    try:
-        obj = json.loads(_read_input(path))
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise CliError(f"bad certificate: {e}", EX_DATA) from None
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise CliError("certificate must be a JSON object with a 'type'", EX_DATA)
-    return obj
-
-
-def _check_cert_matches(obj: dict, game: Game):
-    """Each header key present must be a JSON integer (65) equal to the
-    game's (66): `!=` alone would pass 3.0 and true, and call "3" a
-    mismatch."""
-    for key, actual in _certificate_header(game).items():
-        if key in obj and type(obj[key]) is not int:
-            raise CliError(f"bad certificate: {key!r} must be an integer, got {obj[key]!r}", EX_DATA)
-        if key in obj and obj[key] != actual:
-            raise CliError(
-                f"certificate {key}={obj[key]} does not match game {key}={actual}",
-                EX_MISMATCH,
-            )
-
-
-def _load_strategy(obj: dict, game: Game) -> MerpStrategy:
-    """The certificate's phase table, with one entry per (player, question)."""
-    try:
-        strategy = MerpStrategy.from_dict(obj)
-    except (KeyError, ValueError, TypeError, ArithmeticError) as e:
-        raise CliError(f"bad phase table: {e}", EX_DATA) from None
-    if not strategy.fits(game):
-        raise CliError("phase table shape does not match the game", EX_MISMATCH)
-    return strategy
-
-
-def _int_list(obj: dict, key: str) -> list[int]:
-    """A certificate list whose entries must be JSON integers: int() would
-    truncate a float and accept a boolean."""
-    value = obj.get(key)
-    if not isinstance(value, list) or not {int}.issuperset(map(type, value)):
-        raise CliError(f"bad certificate: {key!r} must be a list of integers", EX_DATA)
-    return value
-
-
-def _check_certificate(game: Game, obj: dict) -> bool:
-    """Whether the certificate proves its claim about the game, recomputed
-    from its content alone. Malformed content raises CliError: 65, or 66
-    for clause indices and table shapes the game does not have."""
-    kind = obj["type"]
-    if kind == "merp":
-        strategy = _load_strategy(obj, game)
-        classical = obj.get("classically_perfect", False)
-        if type(classical) is not bool:
-            raise CliError("bad certificate: 'classically_perfect' must be a boolean", EX_DATA)
-        simulated = merp.simulate_merp_value(game, strategy)
-        ok = simulated.exact_perfect and abs(simulated.value - 1) <= 1e-9
-        if ok and classical:
-            # Only integral phases are a deterministic classical strategy.
-            ok = all(x.denominator == 1 for row in strategy.phi for x in row)
-    elif kind == "refutation":
-        z = _int_list(obj, "z")
-        word = [i - 1 for i in _int_list(obj, "sigma_word")]
-        try:
-            product = reduce_clause_word(game, word)
-        except IndexError:
-            raise CliError("clause index out of range", EX_MISMATCH) from None
-        ok = product == GroupWord.sign(game.players) and check_obstruction(game, z)
-    elif kind == "obstruction":
-        ok = check_obstruction(game, _int_list(obj, "z"))
-    else:
-        raise CliError(f"unknown certificate type {kind!r}", EX_DATA)
-    return ok
-
-
 def cmd_verify(args) -> int:
     game = _load_game(args.game)
-    obj = _load_certificate(args.certificate)
-    _check_cert_matches(obj, game)
-    ok = _check_certificate(game, obj)
+    obj = check.load_certificate(_read_input(args.certificate))
+    ok = check.check_certificate(game, obj)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
 
 def cmd_simulate(args) -> int:
     game = _load_game(args.game)
-    obj = _load_certificate(args.certificate)
-    _check_cert_matches(obj, game)
+    obj = check.load_certificate(_read_input(args.certificate))
+    check.check_header(obj, game)
     if obj["type"] != "merp":
         raise CliError("simulate needs a phase-table certificate", EX_DATA)
-    result = merp.simulate_merp_value(game, _load_strategy(obj, game))
+    result = merp.simulate_merp_value(game, check.load_strategy(obj, game))
     print(f"value: {result.value:.12f}")
     print(f"exact_perfect: {'yes' if result.exact_perfect else 'no'}")
     return 0
@@ -358,7 +273,7 @@ def main(argv=None) -> int:
         return EX_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as e:
+    except (CliError, CertificateError) as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
     except WordLengthCapExceeded as e:

@@ -19,10 +19,10 @@ verdict as inconclusive.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from .check import check_obstruction
 from .games import Game
 from .intlinalg import IntMatrix, l1_descent, parity_kernel_basis
 from .words import abelianizes_to_sign, reduce_clause_word
@@ -107,23 +107,6 @@ def decide(game: Game) -> DecisionOutcome:
         )
     _last_decision.append((game, outcome))
     return outcome
-
-
-def check_obstruction(game: Game, z) -> bool:
-    """Exact validity of a claimed witness: balanced incidences, odd parity."""
-    z = tuple(int(x) for x in z)
-    if len(z) != game.num_clauses:
-        return False
-    # Bᵀz one clause at a time: clause i adds z_i to each (player, question)
-    # slot it asks, and every slot must come to zero.
-    totals = defaultdict(int)
-    for zi, c in zip(z, game.clauses):
-        if zi:
-            for slot in enumerate(c.questions):
-                totals[slot] += zi
-    if any(totals.values()):
-        return False
-    return sum(zi * c.parity for zi, c in zip(z, game.clauses)) % 2 == 1
 
 
 def witness_clause_word(game: Game, z) -> tuple[int, ...]:

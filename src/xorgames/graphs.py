@@ -210,32 +210,34 @@ def hyperedge_path(game: Game, start: Vertex, goal: Vertex) -> tuple[int, ...]:
     return tuple(reversed(path))
 
 
-def gadget_word(game: Game, pg: PairGraph, question: int) -> tuple[int, ...]:
-    """Gadget for a third-player question relative to pg = PairGraph(2, beta).
+def gadget_words(game: Game, pg: PairGraph, questions) -> dict[int, tuple[int, ...]]:
+    """Gadget word of each third-player question relative to pg = PairGraph(2, beta).
 
     Walks the minimal hyperedge path from the question's pair-graph
     representative to the smallest question asked of player beta and keeps,
     as a clause word, the adjacent pairs that agree on the other player of
-    {1, 2}; minimality makes the kept pairs disjoint. The game must be
-    connected, which `Homomorphisms` checks once per game.
-    """
+    {1, 2}; minimality makes the kept pairs disjoint. The word is built once
+    per representative. The game must be connected, which `Homomorphisms`
+    checks once per game."""
     if pg.alpha != 2 or pg.beta not in (0, 1):
         raise ValueError("gadgets pair player 3 with player 1 or 2")
-    beta = pg.beta
-    other = 1 - beta
-    rep = pg.rep_of((pg.alpha, question))
-    target = (beta, min(c.questions[beta] for c in game.clauses))
-    path = hyperedge_path(game, rep, target)
-    kept = []
-    r = 0
-    while r + 1 < len(path):
-        i, j = path[r], path[r + 1]
-        if game.clauses[i].questions[other] == game.clauses[j].questions[other]:
-            kept += (i, j)
-            r += 2
-        else:
-            r += 1
-    return tuple(kept)
+    other = 1 - pg.beta
+    target = (pg.beta, min(c.questions[pg.beta] for c in game.clauses))
+    reps = {q: pg.rep_of((pg.alpha, q)) for q in questions}
+    words = {}
+    for rep in dict.fromkeys(reps.values()):
+        path = hyperedge_path(game, rep, target)
+        kept = []
+        r = 0
+        while r + 1 < len(path):
+            i, j = path[r], path[r + 1]
+            if game.clauses[i].questions[other] == game.clauses[j].questions[other]:
+                kept += (i, j)
+                r += 2
+            else:
+                r += 1
+        words[rep] = tuple(kept)
+    return {q: words[rep] for q, rep in reps.items()}
 
 
 def hypergraph_dot(game: Game) -> str:

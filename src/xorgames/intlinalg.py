@@ -5,9 +5,9 @@ the integer kernel vectors that pair oddly with a parity vector (the
 witnesses `decide` chooses from) and, on request, those that pair evenly;
 `l1_descent`, which shortens a vector in ℓ1 by integer steps along given
 directions (a refutation's witness along the even kernel vectors);
-`solve_mod2_over_rationals`, the canonical rational
-solution of b·φ ≡ s (mod 2) (the phase table); and `congruent_mod2`, the
-exact parity test of a sum of rationals that the solve and `verify` apply.
+and `solve_mod2_over_rationals`, the canonical rational solution of
+b·φ ≡ s (mod 2) (the phase table), checked row by row with
+`merp.congruent_mod2`, the exact parity test that `verify` applies too.
 
 Arbitrary-precision integers and Fractions only; no floating point
 anywhere in this module. Smith normal form is computed with explicit
@@ -43,7 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import compress, cycle, repeat
-from math import lcm
+
+from .merp import congruent_mod2
 
 
 @dataclass(frozen=True)
@@ -606,15 +607,3 @@ def solve_mod2_over_rationals(b: IntMatrix, s) -> tuple[Fraction, ...] | None:
         if not congruent_mod2(terms, target):
             raise AssertionError("solution fails b·phi = s (mod 2)")
     return phi
-
-
-def congruent_mod2(terms, target: int) -> bool:
-    """Whether the sum of the rationals n/d, given as (n, d) pairs, is
-    congruent to the integer target mod 2. The sum is taken in integers:
-    each term is written over L, the lcm of these denominators alone, and
-    total − target·L must be a multiple of 2L. So L stays within the
-    product of the terms' own denominators, however many other
-    denominators the caller's table holds."""
-    common = lcm(*[d for _, d in terms])
-    total = sum([n * (common // d) for n, d in terms])
-    return (total - target * common) % (2 * common) == 0

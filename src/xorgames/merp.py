@@ -21,11 +21,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import getitem
 
-from .decider import incidence_matrix
 from .games import Game
-from .intlinalg import congruent_mod2, solve_mod2_over_rationals
 
 
 # The string form to_dict writes: an optional sign, digits, optional /digits.
@@ -94,6 +93,11 @@ class StrategyValue:
 def solve_merp(game: Game) -> MerpStrategy | None:
     """Exact phase table winning every round, or None when no rational
     table exists (then `decide` finds the odd integer witness)."""
+    # Imported here so that checking a phase table loads nothing of the
+    # decision procedure; the benchmark's span tracer binds `merp.solve_merp`.
+    from .decider import incidence_matrix
+    from .intlinalg import solve_mod2_over_rationals
+
     phi = solve_mod2_over_rationals(
         incidence_matrix(game), [c.parity for c in game.clauses]
     )
@@ -114,6 +118,18 @@ def verify_merp_symbolic(game: Game, strat: MerpStrategy) -> bool:
         congruent_mod2([row[q] for row, q in zip(parts, c.questions)], c.parity)
         for c in game.clauses
     )
+
+
+def congruent_mod2(terms, target: int) -> bool:
+    """Whether the sum of the rationals n/d, given as (n, d) pairs, is
+    congruent to the integer target mod 2. The sum is taken in integers:
+    each term is written over L, the lcm of these denominators alone, and
+    total − target·L must be a multiple of 2L. So L stays within the
+    product of the terms' own denominators, however many other
+    denominators the caller's table holds."""
+    common = lcm(*[d for _, d in terms])
+    total = sum([n * (common // d) for n, d in terms])
+    return (total - target * common) % (2 * common) == 0
 
 
 def _matmul(a, b):

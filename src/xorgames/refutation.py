@@ -35,7 +35,7 @@ from itertools import chain
 
 from .decider import decide, witness_clause_word
 from .games import Game
-from .graphs import PairGraph, build_hypergraph, decompose_components, gadget_word
+from .graphs import PairGraph, build_hypergraph, decompose_components, gadget_words
 from .words import (
     GroupWord, abelianizes_to_sign, commutator, inverse, is_parity_trivial, multiply,
     reduce_clause_word, reduce_letters,
@@ -194,8 +194,8 @@ class Homomorphisms:
         }
         self.gadget = {
             beta: {
-                q: self.paths[(2, beta)][q] + gadget_word(game, self.pair[(2, beta)], q)
-                for q in asked[2]
+                q: self.paths[(2, beta)][q] + word
+                for q, word in gadget_words(game, self.pair[(2, beta)], asked[2]).items()
             }
             for beta in (0, 1)
         }

@@ -12,7 +12,7 @@ from itertools import product
 
 from xorgames.decider import decide
 from xorgames.games import generate_random_game, make_game, parse_text
-from xorgames.graphs import decompose_components, gadget_word
+from xorgames.graphs import decompose_components, gadget_words
 from xorgames.intlinalg import smith_normal_form
 from xorgames.merp import simulate_merp_value, solve_merp, verify_merp_symbolic
 from xorgames.oracle import classical_value
@@ -331,7 +331,7 @@ def test_criterion_7_algebraic_property_suites():
         other = 1 - beta
         asked = sorted({c.questions[2] for c in game.clauses})
         q = rng.choice(asked)
-        gamma = gadget_word(game, hom.pair[(2, beta)], q)
+        gamma = gadget_words(game, hom.pair[(2, beta)], [q])[q]
         red = reduce_clause_word(game, gamma)
         assert red.per_player[other] == ()  # C1
         # C2: the beta image of the pair inverse of gamma's player-3 residue

@@ -7,7 +7,7 @@ from xorgames.graphs import (
     PairGraph,
     build_hypergraph,
     decompose_components,
-    gadget_word,
+    gadget_words,
     hyperedge_path,
     hypergraph_dot,
     pair_graph_dot,
@@ -416,7 +416,7 @@ def test_gadget_word_walkthrough():
     assert pg.rep_of((2, 4)) == (1, 4)
     assert hyperedge_path(SAMPLE_B, (1, 4), (1, 0)) == (9, 7, 4, 2, 0)
     # x5x5x5, x5x4x4, then x1x3x3, x1x1x1; question 5 is 0-based 4
-    assert gadget_word(SAMPLE_B, pg, 4) == (9, 7, 2, 0)
+    assert gadget_words(SAMPLE_B, pg, [4])[4] == (9, 7, 2, 0)
 
 
 def test_gadget_kept_pairs_cancel_on_other_player():
@@ -432,14 +432,14 @@ def test_gadget_kept_pairs_cancel_on_other_player():
             pg = PairGraph(game, 2, beta)
             other = 1 - beta
             for q in sorted({c.questions[2] for c in game.clauses}):
-                red = reduce_clause_word(game, gadget_word(game, pg, q))
+                red = reduce_clause_word(game, gadget_words(game, pg, [q])[q])
                 assert red.per_player[other] == ()
                 checked += 1
     assert checked >= 50
 
 
 def test_gadget_requires_connected_game():
-    # gadget_word takes connectivity as a precondition; the right-inverse
+    # gadget_words takes connectivity as a precondition; the right-inverse
     # tables that call it check it once per game.
     game = parse_text("1 1 1 0\n2 2 2 0")
     with pytest.raises(ValueError):

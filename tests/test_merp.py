@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from xorgames import intlinalg, merp
+from xorgames import merp
 from xorgames.decider import decide
 from xorgames.games import generate_random_game, make_game, parse_text
 from xorgames.merp import (
@@ -394,14 +394,14 @@ def test_verify_keeps_each_clause_to_its_own_denominators(monkeypatch):
     game = make_game(rows)
     strat = MerpStrategy(phi)
     largest = []
-    real_lcm = intlinalg.lcm
+    real_lcm = merp.lcm
 
     def recording_lcm(*args):
         result = real_lcm(*args)
         largest.append(result.bit_length())
         return result
 
-    monkeypatch.setattr(intlinalg, "lcm", recording_lcm)
+    monkeypatch.setattr(merp, "lcm", recording_lcm)
     start = time.perf_counter()
     assert verify_merp_symbolic(game, strat)
     elapsed = time.perf_counter() - start
